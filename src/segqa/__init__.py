@@ -24,11 +24,9 @@ from .detect import (
     DetectionConfig,
     binary_entropy,
     build_attention,
-    inconsistency_map,
-    overlap_map,
-    uncertainty_map,
+    reduce_case,
 )
-from .ensemble import ensemble_label, mean_soft
+from .ensemble import ensemble_label
 from .nifti import NiftiFormatError, read_volume, write_volume
 from .regions import (
     Component,
@@ -83,18 +81,15 @@ __all__ = [
     "error_region",
     "estimate_workload",
     "false_positive_scan",
-    "inconsistency_map",
     "labels_from_soft",
     "mark_case",
-    "mean_soft",
-    "overlap_map",
     "physical_volume",
     "rank_cases",
     "read_volume",
+    "reduce_case",
     "run_loop",
     "select_for_revision",
     "simulate_revision",
     "stopping_check",
-    "uncertainty_map",
     "write_volume",
 ]

@@ -90,9 +90,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
 RANKING_BASE_HEADER = ("rank", "case_id", "total_mm3")
 
 
-def _ranking_rows(sizes: list[dict[str, object]]) -> tuple[list[str], list[list[object]]]:
-    organ_names = list(sizes[0]["organ_names"])
-    entries = [
+def _case_entries(sizes: list[dict[str, object]]) -> list[camp.CaseEntry]:
+    """One pending campaign entry per sizes sidecar written by detect."""
+    return [
         camp.CaseEntry(
             case_id=s["case_id"],
             per_organ_mm3=dict(s["per_organ_mm3"]),
@@ -100,32 +100,31 @@ def _ranking_rows(sizes: list[dict[str, object]]) -> tuple[list[str], list[list[
         )
         for s in sizes
     ]
-    ranked = camp.rank_cases(entries)
-    header = list(RANKING_BASE_HEADER) + [f"{name}_mm3" for name in organ_names]
-    rows = []
-    for rank, entry in enumerate(ranked, start=1):
-        rows.append(
-            [rank, entry.case_id, repr(entry.total_mm3)]
-            + [repr(float(entry.per_organ_mm3.get(name, 0.0))) for name in organ_names]
-        )
-    return header, rows
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
     sizes = corpus.read_sizes(args.attention)
-    header, rows = _ranking_rows(sizes)
+    organ_names = list(sizes[0]["organ_names"])
+    ranked = camp.rank_cases(_case_entries(sizes))
+    header = list(RANKING_BASE_HEADER) + [f"{name}_mm3" for name in organ_names]
+    rows = [
+        [rank, entry.case_id, repr(entry.total_mm3)]
+        + [repr(float(entry.per_organ_mm3.get(name, 0.0))) for name in organ_names]
+        for rank, entry in enumerate(ranked, start=1)
+    ]
     corpus.write_csv(args.out, header, rows)
     if args.curve:
-        corpus.write_csv(
-            args.curve, ("rank", "total_mm3"), [[r[0], r[2]] for r in rows]
-        )
+        curve = camp.size_rank_curve(ranked)
+        corpus.write_csv(args.curve, ("rank", "total_mm3"), [[r, repr(t)] for r, t in curve])
     print(f"rank: wrote {len(rows)} cases to {args.out}")
     return 0
 
 
 def cmd_select(args: argparse.Namespace) -> int:
     rows = corpus.read_ranking_csv(args.ranking)
-    selected = [r for r in rows if r["total_mm3"] > args.threshold_mm3]
+    ranking = [camp.CaseEntry(r["case_id"], {}, r["total_mm3"]) for r in rows]
+    chosen = {e.case_id for e in camp.select_for_revision(ranking, args.threshold_mm3)}
+    selected = [r for r in rows if r["case_id"] in chosen]
     for row in selected:
         print(row["case_id"])
     if args.out:
@@ -262,14 +261,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if state_path.exists() and not args.force:
             raise ValueError(f"campaign init: {state_path} exists (use --force to overwrite)")
         sizes = corpus.read_sizes(args.attention)
-        entries = tuple(
-            camp.CaseEntry(
-                case_id=s["case_id"],
-                per_organ_mm3=dict(s["per_organ_mm3"]),
-                total_mm3=float(s["total_mm3"]),
-            )
-            for s in sizes
-        )
+        entries = _case_entries(sizes)
         state = camp.CampaignState(cases=entries, loop_index=0, config=sizes[0]["config"])
         camp.save_state(state, state_path)
         print(f"campaign: initialized {state_path} with {len(entries)} cases")

@@ -28,6 +28,7 @@ from .volume import (
     LabelVolume,
     OrganLabelMap,
     PredictionSet,
+    ProbabilityRangeError,
     SoftPrediction,
     VolumeGrid,
 )
@@ -131,7 +132,10 @@ def load_prediction_set(
         channels = tuple(
             read_volume(channels_by_code[code]) for code in sorted(channels_by_code)
         )
-        members.append(SoftPrediction(model_id=model_dir.name, channels=channels))
+        try:
+            members.append(SoftPrediction(model_id=model_dir.name, channels=channels))
+        except ProbabilityRangeError as exc:
+            raise CorpusError(f"case {case_id!r}: {channels_by_code[exc.code]}: {exc}") from exc
     return PredictionSet(case_id=case_id, members=tuple(members))
 
 

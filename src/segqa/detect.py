@@ -19,16 +19,16 @@ they are surfaced on the command line and echoed into every output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import regions
 from .volume import (
+    LabelVolume,
+    OrganLabelMap,
     PredictionSet,
     VolumeGrid,
     physical_volume,
-    require_aligned,
     stable_mean_std,
 )
 
@@ -122,67 +122,32 @@ def binary_entropy(p: np.ndarray | float) -> np.ndarray | float:
     return out
 
 
-def _member_channel_values(preds: PredictionSet, organ_index: int) -> list[np.ndarray]:
-    return [m.channels[organ_index].values for m in preds.members]
+def reduce_case(
+    preds: PredictionSet,
+    cfg: DetectionConfig | None = None,
+    labels: OrganLabelMap | None = None,
+) -> tuple[AttentionMap, LabelVolume]:
+    """Attention map and consensus labels of one case, from one pass over the organs.
 
+    Per organ, the K member channels are reduced once to their mean and std
+    (:func:`stable_mean_std`). A voxel enters the union if the std or the
+    entropy of the mean passes its threshold; overlap voxels (two or more
+    organs whose mean passes the binarize threshold) enter unconditionally. A
+    per-organ sub-mask additionally claims overlap voxels where that organ's
+    mean passes the binarize threshold.
 
-def inconsistency_map(preds: PredictionSet) -> tuple[VolumeGrid, ...]:
-    """Per-organ cross-model standard deviation (population form, in [0, 0.5])."""
-    if preds.num_members < 2:
-        raise InsufficientMembersError(
-            f"case {preds.case_id!r}: inconsistency needs >= 2 members, got {preds.num_members}"
-        )
-    ref = preds.reference_grid
-    maps = []
-    for c in range(preds.num_organs):
-        _, std = stable_mean_std(_member_channel_values(preds, c))
-        maps.append(ref.with_values(np.clip(std, 0.0, 0.5).astype(np.float32)))
-    return tuple(maps)
-
-
-def uncertainty_map(soft: Sequence[VolumeGrid]) -> tuple[VolumeGrid, ...]:
-    """Per-organ normalized binary entropy of the given probability channels.
-
-    The input may be one model's channels or the ensemble mean; this module
-    uses the mean so a single map reflects the consensus.
-    """
-    if not soft:
-        raise ValueError("uncertainty_map: need at least one channel")
-    require_aligned(*soft, context="soft channels")
-    maps = []
-    for ch in soft:
-        v = ch.values
-        lo, hi = float(v.min()), float(v.max())
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError(f"uncertainty_map: probabilities out of [0, 1] ({lo}..{hi})")
-        maps.append(ch.with_values(binary_entropy(v).astype(np.float32)))
-    return tuple(maps)
-
-
-def overlap_map(mean_soft: Sequence[VolumeGrid], binarize_threshold: float = 0.5) -> VolumeGrid:
-    """Mask of voxels where two or more organ channels pass the threshold."""
-    if not mean_soft:
-        raise ValueError("overlap_map: need at least one channel")
-    require_aligned(*mean_soft, context="soft channels")
-    count = np.zeros(mean_soft[0].dims, dtype=np.int32)
-    for ch in mean_soft:
-        count += ch.values >= binarize_threshold
-    return mean_soft[0].with_values((count >= 2).astype(np.uint8))
-
-
-def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) -> AttentionMap:
-    """Union the three criterion masks for one case into an attention map.
-
-    Per organ, a voxel enters the union if the member standard deviation or
-    the entropy of the mean passes its threshold; overlap voxels enter
-    unconditionally. A per-organ sub-mask additionally claims overlap voxels
-    where that organ's mean probability passes the binarize threshold.
+    The consensus label is the organ with the largest mean, taken as float32,
+    if that mean reaches the binarize threshold, else background; ties go to
+    the lowest code. This is :func:`labels_from_soft` of the float32 mean
+    channels, kept as a running argmax so no channel stack is built.
     """
     cfg = cfg or DetectionConfig()
     if preds.num_members < 2:
         raise InsufficientMembersError(
             f"case {preds.case_id!r}: attention needs >= 2 members, got {preds.num_members}"
         )
+    if preds.num_organs > 255:
+        raise ValueError("reduce_case: at most 255 organ channels supported")
     ref = preds.reference_grid
     dims = ref.dims
 
@@ -191,12 +156,12 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
     pass_count = np.zeros(dims, dtype=np.int32)
     organ_parts: list[np.ndarray] = []
     organ_passes: list[np.ndarray] = []
+    best_code = np.ones(dims, dtype=np.uint8)
 
     for c in range(preds.num_organs):
-        mean, std = stable_mean_std(_member_channel_values(preds, c))
-        entropy = binary_entropy(mean)
+        mean, std = stable_mean_std([m.channels[c].values for m in preds.members])
         inconsistent = std >= cfg.std_threshold
-        uncertain = entropy >= cfg.entropy_threshold
+        uncertain = binary_entropy(mean) >= cfg.entropy_threshold
         passes = mean >= cfg.binarize_threshold
 
         inconsistent_any |= inconsistent
@@ -204,6 +169,13 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
         pass_count += passes
         organ_parts.append(inconsistent | uncertain)
         organ_passes.append(passes)
+
+        mean32 = mean.astype(np.float32)
+        if c == 0:
+            best = mean32
+        else:
+            best_code[mean32 > best] = c + 1  # strict: ties keep the lower code
+            np.maximum(best, mean32, out=best)
 
     overlap = pass_count >= 2
     union = inconsistent_any | uncertain_any | overlap
@@ -216,8 +188,7 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
         ref.with_values((organ_parts[c] | (overlap & organ_passes[c])).astype(np.uint8))
         for c in range(preds.num_organs)
     )
-    sizes = tuple(physical_volume(m) for m in per_organ)
-    return AttentionMap(
+    attention = AttentionMap(
         case_id=preds.case_id,
         union_mask=union_grid,
         per_organ_masks=per_organ,
@@ -226,6 +197,16 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
             uncertainty=ref.with_values(uncertain_any.astype(np.uint8)),
             overlap=ref.with_values(overlap.astype(np.uint8)),
         ),
-        per_organ_mm3=sizes,
+        per_organ_mm3=tuple(physical_volume(m) for m in per_organ),
         total_mm3=physical_volume(union_grid),
     )
+    # A Python float threshold is compared in float32, as in labels_from_soft.
+    codes = np.where(best >= float(cfg.binarize_threshold), best_code, np.uint8(0))
+    if labels is None:
+        labels = OrganLabelMap.for_channel_count(preds.num_organs)
+    return attention, LabelVolume(ref.with_values(codes), labels)
+
+
+def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) -> AttentionMap:
+    """The attention map of :func:`reduce_case`."""
+    return reduce_case(preds, cfg)[0]

@@ -7,26 +7,8 @@ downstream entropy. Members are unweighted.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .volume import (
-    LabelVolume,
-    OrganLabelMap,
-    PredictionSet,
-    VolumeGrid,
-    labels_from_soft,
-    stable_mean,
-)
-
-
-def mean_soft(preds: PredictionSet) -> tuple[VolumeGrid, ...]:
-    """Per-organ arithmetic mean of the K members' probability channels."""
-    ref = preds.reference_grid
-    out = []
-    for c in range(preds.num_organs):
-        mean = stable_mean([m.channels[c].values for m in preds.members])
-        out.append(ref.with_values(mean.astype(np.float32)))
-    return tuple(out)
+from .detect import DetectionConfig, reduce_case
+from .volume import LabelVolume, OrganLabelMap, PredictionSet, labels_from_soft
 
 
 def ensemble_label(
@@ -35,4 +17,6 @@ def ensemble_label(
     labels: OrganLabelMap | None = None,
 ) -> LabelVolume:
     """Discrete consensus labels: threshold-gated argmax of the mean channels."""
-    return labels_from_soft(mean_soft(preds), binarize_threshold, labels)
+    if preds.num_members == 1:  # a lone member is its own mean
+        return labels_from_soft(preds.members[0].channels, binarize_threshold, labels)
+    return reduce_case(preds, DetectionConfig(binarize_threshold=binarize_threshold), labels)[1]

@@ -34,6 +34,17 @@ class AlignmentError(ValueError):
     """Two volumes that must share a voxel lattice do not."""
 
 
+class ProbabilityRangeError(ValueError):
+    """A soft channel holds a value outside [0, 1], or NaN; ``code`` names the organ."""
+
+    def __init__(self, model_id: str, code: int, lo: float, hi: float):
+        super().__init__(
+            f"model {model_id!r}, organ {code}: probabilities must be finite and in "
+            f"[0, 1], got range {lo}..{hi}"
+        )
+        self.code = code
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     view = arr.view()
     view.flags.writeable = False
@@ -189,12 +200,12 @@ class SoftPrediction:
         if not self.channels:
             raise ValueError("a soft prediction needs at least one organ channel")
         object.__setattr__(self, "channels", tuple(self.channels))
-        for ch in self.channels:
+        for code, ch in enumerate(self.channels, start=1):
             if ch.values.dtype != np.dtype(np.float32):
                 raise TypeError(f"soft channels must be float32, got {ch.values.dtype}")
             lo, hi = float(ch.values.min()), float(ch.values.max())
-            if lo < 0.0 or hi > 1.0:
-                raise ValueError(f"probabilities out of [0, 1]: range {lo}..{hi}")
+            if not (0.0 <= lo and hi <= 1.0):  # also false for NaN
+                raise ProbabilityRangeError(self.model_id, code, lo, hi)
         require_aligned(*self.channels, context=f"channels of model {self.model_id!r}")
 
     @property
@@ -298,42 +309,65 @@ def soft_from_labels(label: LabelVolume) -> tuple[VolumeGrid, ...]:
     )
 
 
-def _sorted_stack_f64(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    stack = np.stack([np.asarray(a, dtype=np.float64) for a in arrays], axis=0)
-    stack.sort(axis=0)
-    return stack
+def _order_key(bits: np.ndarray) -> np.ndarray:
+    """Map float bit patterns (viewed as signed ints) to keys that order like the values.
+
+    Flipping the magnitude bits of negative numbers makes integer order equal
+    float order, with -0.0 just below +0.0. The map is its own inverse.
+    """
+    return bits ^ ((bits >> (8 * bits.itemsize - 1)) & np.iinfo(bits.dtype).max)
+
+
+def _sorted_members(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The member arrays as float64, sorted elementwise in ascending order.
+
+    An odd-even transposition network: K rounds of compare-exchange between
+    neighbouring members, each an ``np.minimum``/``np.maximum`` pair over whole
+    arrays. After round K every voxel's K values are in ascending order, as a
+    sort along the member axis would leave them, without stacking the members
+    or sorting per voxel. The exchange runs on integer keys (:func:`_order_key`)
+    because min/max of -0.0 and +0.0 may return the same zero twice; on keys
+    each exchange is an exact permutation. float32 members are sorted as
+    float32, which is exact and moves half the bytes.
+    """
+    narrow = all(np.asarray(a).dtype == np.float32 for a in arrays)
+    floats, ints = (np.float32, np.int32) if narrow else (np.float64, np.int64)
+    s = [_order_key(np.asarray(a, dtype=floats).view(ints)) for a in arrays]
+    for r in range(len(s)):
+        for i in range(r % 2, len(s) - 1, 2):
+            s[i], s[i + 1] = np.minimum(s[i], s[i + 1]), np.maximum(s[i], s[i + 1])
+    return [np.asarray(_order_key(k).view(floats), dtype=np.float64) for k in s]
 
 
 def stable_mean(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Elementwise mean, accumulated in value-sorted order.
 
-    Sorting before summation makes the float result independent of the order
-    in which the member arrays are supplied, which keeps reductions bit-exact
+    The members are sorted per voxel by a compare-exchange network before
+    summation. Floating-point addition is not associative, but a fixed
+    summation order (ascending value) makes the result independent of the
+    order in which the member arrays are supplied: reductions stay bit-exact
     under permutation of the members.
     """
-    s = _sorted_stack_f64(arrays)
-    acc = s[0].copy()
-    for k in range(1, s.shape[0]):
-        acc += s[k]
-    return acc / s.shape[0]
+    s = _sorted_members(arrays)
+    return sum(s[1:], s[0]) / len(s)
 
 
 def stable_mean_std(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise mean and population standard deviation, order-stable.
 
-    Uses the 1/K normalization, so for probabilities the result is bounded
-    by 0.5 and thresholds on it are interpretable on a fixed scale.
+    Both sums run in the value-sorted order of :func:`stable_mean`, so they are
+    bit-exact under permutation of the members. Uses the 1/K normalization,
+    so for probabilities the result is bounded by 0.5 and thresholds on it are
+    interpretable on a fixed scale.
     """
-    s = _sorted_stack_f64(arrays)
-    k = s.shape[0]
-    acc = s[0].copy()
-    for i in range(1, k):
-        acc += s[i]
-    mean = acc / k
-    dev = s[0] - mean
-    var = dev * dev
-    for i in range(1, k):
-        dev = s[i] - mean
-        var += dev * dev
+    s = _sorted_members(arrays)
+    k = len(s)
+    mean = sum(s[1:], s[0]) / k
+    var = np.zeros_like(mean)
+    dev = np.empty_like(mean)
+    for x in s:
+        np.subtract(x, mean, out=dev)
+        np.multiply(dev, dev, out=dev)
+        var += dev
     var /= k
-    return mean, np.sqrt(var)
+    return mean, np.sqrt(var, out=var)

@@ -1,9 +1,14 @@
 """Independent brute-force oracles the implementation is checked against.
 
-Everything here walks voxels one by one in plain Python. The only shared
+Most of this walks voxels one by one in plain Python. The only shared
 primitive with the library is the floating-point math itself (numpy scalar
 log2 for the entropy criterion); all set logic, component search and
 reductions are recomputed from scratch.
+
+The sort-based references at the end are the vectorized member reduction,
+attention map and consensus labels as the library computed them before it
+fused them into one pass: a float64 stack sorted along the member axis per
+organ, and a float32 stack of the mean channels for the label argmax.
 """
 
 from __future__ import annotations
@@ -135,3 +140,57 @@ def attention_union_oracle(member_channels, cfg) -> np.ndarray:
         if fired or passing >= 2:
             union[x, y, z] = True
     return union
+
+
+def sorted_stack_mean_std(arrays):
+    """Mean and population std of a member stack sorted along axis 0."""
+    s = np.stack([np.asarray(a, dtype=np.float64) for a in arrays], axis=0)
+    s.sort(axis=0)
+    k = s.shape[0]
+    acc = s[0].copy()
+    for i in range(1, k):
+        acc += s[i]
+    mean = acc / k
+    dev = s[0] - mean
+    var = dev * dev
+    for i in range(1, k):
+        dev = s[i] - mean
+        var += dev * dev
+    var /= k
+    return mean, np.sqrt(var)
+
+
+def sorted_stack_reduction(member_channels, cfg):
+    """Attention masks and consensus labels, each from its own reduction.
+
+    member_channels[k][c] is model k's float32 array for organ c. Returns a
+    dict of boolean masks (union before speckle filtering, inconsistency,
+    uncertainty, overlap, per_organ list) and the uint8 label codes.
+    """
+    from segqa.detect import binary_entropy
+
+    organs = len(member_channels[0])
+    reduced = [
+        sorted_stack_mean_std([member[c] for member in member_channels])
+        for c in range(organs)
+    ]
+    inconsistent = [std >= cfg.std_threshold for _, std in reduced]
+    uncertain = [binary_entropy(mean) >= cfg.entropy_threshold for mean, _ in reduced]
+    passes = [mean >= cfg.binarize_threshold for mean, _ in reduced]
+    overlap = np.sum(passes, axis=0) >= 2
+    any_inconsistent = np.any(inconsistent, axis=0)
+    any_uncertain = np.any(uncertain, axis=0)
+
+    soft = np.stack([mean.astype(np.float32) for mean, _ in reduced], axis=0)
+    peak = np.max(soft, axis=0)
+    codes = np.where(peak >= float(cfg.binarize_threshold), np.argmax(soft, axis=0) + 1, 0)
+    return {
+        "union": any_inconsistent | any_uncertain | overlap,
+        "inconsistency": any_inconsistent,
+        "uncertainty": any_uncertain,
+        "overlap": overlap,
+        "per_organ": [
+            inconsistent[c] | uncertain[c] | (overlap & passes[c]) for c in range(organs)
+        ],
+        "labels": codes.astype(np.uint8),
+    }

@@ -62,6 +62,19 @@ class TestDetectRankSelect:
         union = read_volume(out / "case1_attention.nii.gz")
         assert int(union.values.sum()) == blob_voxels
 
+    def test_detect_rejects_nan_channel(self, blob_corpus, capsys):
+        root, _ = blob_corpus
+        bad = np.zeros((6, 6, 6), dtype=np.float32)
+        bad[2, 2, 2] = np.nan
+        path = root / "modelB" / "case1_organ1.nii.gz"
+        write_channel(path, bad)
+        rc = main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
+                   "--out", str(root / "attention")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"case 'case1': {path}: model 'modelB', organ 1:" in err
+        assert not (root / "attention" / "case1_sizes.json").exists()
+
     def test_detect_needs_two_models(self, blob_corpus):
         root, _ = blob_corpus
         rc = main(["detect", "--preds", str(root / "modelA"), "--out", str(root / "x")])
@@ -96,6 +109,18 @@ class TestDetectRankSelect:
         printed = capsys.readouterr().out
         assert "case1" in printed.splitlines()[0]
         assert "1 of 2 cases" in printed
+
+    def test_select_rejects_negative_threshold(self, blob_corpus, capsys, tmp_path):
+        root, _ = blob_corpus
+        out = root / "attention"
+        main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
+              "--out", str(out)])
+        ranking = tmp_path / "ranking.csv"
+        assert main(["rank", "--attention", str(out), "--out", str(ranking)]) == 0
+        capsys.readouterr()
+        rc = main(["select", "--ranking", str(ranking), "--threshold-mm3", "-1"])
+        assert rc == 1
+        assert "size threshold must be >= 0" in capsys.readouterr().err
 
     def test_nine_channel_corpus_gets_standard_organ_names(self, tmp_path):
         dims = (4, 4, 4)

@@ -81,6 +81,17 @@ class TestLoad:
         preds = load_prediction_set("c", [tmp_path / "alpha", tmp_path / "beta"])
         assert [m.model_id for m in preds.members] == ["alpha", "beta"]
 
+    def test_nan_channel_names_case_and_file(self, tmp_path):
+        write_float(tmp_path / "alpha" / "c_organ1.nii.gz", np.zeros((2, 2, 2)))
+        bad = np.zeros((2, 2, 2))
+        bad[1, 1, 1] = np.nan
+        write_float(tmp_path / "beta" / "c_organ1.nii.gz", bad)
+        with pytest.raises(CorpusError) as exc:
+            load_prediction_set("c", [tmp_path / "alpha", tmp_path / "beta"])
+        message = str(exc.value)
+        assert "case 'c'" in message and "model 'beta', organ 1" in message
+        assert str(tmp_path / "beta" / "c_organ1.nii.gz") in message
+
     def test_file_like_read(self, tmp_path):
         path = tmp_path / "v.nii"
         write_volume(VolumeGrid(np.ones((2, 2, 2), dtype=np.uint8)), path)

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_grid, prediction_set, random_prediction_set
-from oracles import attention_union_oracle
+from oracles import attention_union_oracle, sorted_stack_mean_std, sorted_stack_reduction
 from segqa.detect import (
     DetectionConfig,
     InsufficientMembersError,
     binary_entropy,
     build_attention,
-    inconsistency_map,
-    overlap_map,
-    uncertainty_map,
+    reduce_case,
 )
-from segqa.volume import AlignmentError
+from segqa.ensemble import ensemble_label
+from segqa.volume import AlignmentError, SoftPrediction, labels_from_soft, stable_mean_std
 
 
 class TestDetectionConfig:
@@ -42,39 +41,42 @@ class TestDetectionConfig:
             DetectionConfig(**kwargs)
 
 
+def _std(preds, organ_index=0):
+    return stable_mean_std([m.channels[organ_index].values for m in preds.members])[1]
+
+
 class TestInconsistency:
     def test_identical_members_give_zero(self, rng):
         ch = rng.random((3, 3, 3), dtype=np.float32)
         ps = prediction_set("c", [[ch], [ch], [ch]])
-        maps = inconsistency_map(ps)
-        assert not maps[0].values.any()
+        assert not _std(ps).any()
 
     def test_two_member_full_disagreement(self):
         ps = prediction_set("c", [[np.zeros((1, 1, 1))], [np.ones((1, 1, 1))]])
-        assert inconsistency_map(ps)[0].values[0, 0, 0] == 0.5
+        assert _std(ps)[0, 0, 0] == 0.5
 
     def test_three_member_hand_value(self):
         ps = prediction_set(
             "c",
             [[np.full((1, 1, 1), 0.2)], [np.full((1, 1, 1), 0.5)], [np.full((1, 1, 1), 0.8)]],
         )
-        value = float(inconsistency_map(ps)[0].values[0, 0, 0])
+        value = float(_std(ps)[0, 0, 0])
         assert value == pytest.approx(math.sqrt(0.06), abs=1e-4)
 
     def test_single_member_rejected(self):
         ps = prediction_set("c", [[np.zeros((1, 1, 1))]])
         with pytest.raises(InsufficientMembersError):
-            inconsistency_map(ps)
+            reduce_case(ps)
 
     def test_permutation_invariant_bit_exact(self, rng):
         channels = [rng.random((4, 4, 4), dtype=np.float32) for _ in range(3)]
-        a = inconsistency_map(prediction_set("c", [[c] for c in channels]))
-        b = inconsistency_map(prediction_set("c", [[c] for c in channels[::-1]]))
-        assert np.array_equal(a[0].values, b[0].values)
+        a = _std(prediction_set("c", [[c] for c in channels]))
+        b = _std(prediction_set("c", [[c] for c in channels[::-1]]))
+        assert np.array_equal(a, b)
 
     def test_bounded_by_half(self, rng):
         ps = random_prediction_set(rng, members=3, organs=1)
-        values = inconsistency_map(ps)[0].values
+        values = _std(ps)
         assert float(values.min()) >= 0.0 and float(values.max()) <= 0.5
 
 
@@ -95,30 +97,31 @@ class TestUncertainty:
         assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
 
     def test_map_rejects_out_of_range(self):
-        bad = float_grid([[[0.5]]])
-        bad = bad.with_values(np.full((1, 1, 1), 1.5, dtype=np.float32))
         with pytest.raises(ValueError):
-            uncertainty_map([bad])
+            SoftPrediction("m", (float_grid(np.full((1, 1, 1), 1.5)),))
 
     def test_map_values(self):
-        maps = uncertainty_map([float_grid([[[0.5, 0.0, 1.0]]])])
-        out = maps[0].values[0, 0]
+        out = binary_entropy(np.array([0.5, 0.0, 1.0], dtype=np.float32))
         assert out[0] == 1.0 and out[1] == 0.0 and out[2] == 0.0
+
+
+def _overlap(channels):
+    """Overlap mask of two identical members, so each channel is its own mean."""
+    ps = prediction_set("c", [channels, channels])
+    return reduce_case(ps)[0].source_masks.overlap.values
 
 
 class TestOverlap:
     def test_disjoint_organs(self):
-        a = float_grid([[[1.0, 0.0]]])
-        b = float_grid([[[0.0, 1.0]]])
-        assert not overlap_map([a, b], 0.5).values.any()
+        assert not _overlap([np.array([[[1.0, 0.0]]]), np.array([[[0.0, 1.0]]])]).any()
 
     def test_two_channels_passing(self):
-        channels = [float_grid([[[0.6]]]), float_grid([[[0.7]]]), float_grid([[[0.1]]])]
-        assert overlap_map(channels, 0.5).values[0, 0, 0] == 1
+        channels = [np.full((1, 1, 1), v) for v in (0.6, 0.7, 0.1)]
+        assert _overlap(channels)[0, 0, 0] == 1
 
     def test_single_channel_passing(self):
-        channels = [float_grid([[[0.6]]]), float_grid([[[0.4]]]), float_grid([[[0.4]]])]
-        assert overlap_map(channels, 0.5).values[0, 0, 0] == 0
+        channels = [np.full((1, 1, 1), v) for v in (0.6, 0.4, 0.4)]
+        assert _overlap(channels)[0, 0, 0] == 0
 
 
 def _disagreement_case(dims=(6, 6, 6), blob_slice=(slice(1, 5), slice(1, 5), slice(2, 3))):
@@ -214,3 +217,67 @@ class TestBuildAttention:
         b = SoftPrediction("m2", (float_grid(np.zeros((2, 2, 2)), spacing=(2, 2, 2)),))
         with pytest.raises(AlignmentError):
             PredictionSet("c", (a, b))
+
+
+class TestReduceCase:
+    # Member values of organ 1 whose float64 mean lies just below 0.3 while the
+    # float32 mean rounds up to float32(0.3).
+    EDGE = {2: [0.55, 0.049999985843896866], 3: [0.5, 0.3, 0.09999998658895493]}
+
+    @pytest.mark.parametrize("members", [2, 3])
+    def test_matches_sorted_stack_oracle(self, rng, members):
+        cfg = DetectionConfig(binarize_threshold=0.3)
+        edge = np.array(self.EDGE[members], dtype=np.float32)
+        edge_mean = sorted_stack_mean_std(list(edge))[0]
+        assert edge_mean < 0.3 <= np.float32(edge_mean)
+
+        # Coarse values make exact ties between members and between organs common.
+        dims = (6, 6, 6)
+        member_channels = [
+            [(rng.integers(0, 11, dims) / 10).astype(np.float32) for _ in range(3)]
+            for _ in range(members)
+        ]
+        for channels, value in zip(member_channels, edge):
+            channels[2][:3] = channels[1][:3]  # organs 2 and 3 have equal means here
+            for ch in channels:
+                ch[5, 5, 4:] = 0.0
+            channels[0][5, 5, 4:] = value  # organ 1 on the edge at two voxels
+            channels[1][5, 5, 4] = 1.0  # organ 2 certain at one of them
+
+        amap, labels = reduce_case(prediction_set("c", member_channels), cfg)
+        ref = sorted_stack_reduction(member_channels, cfg)
+        assert np.array_equal(amap.union_mask.values != 0, ref["union"])
+        for key in ("inconsistency", "uncertainty", "overlap"):
+            assert np.array_equal(getattr(amap.source_masks, key).values != 0, ref[key])
+        for c in range(3):
+            assert np.array_equal(amap.per_organ_masks[c].values != 0, ref["per_organ"][c])
+            assert amap.per_organ_mm3[c] == float(ref["per_organ"][c].sum())
+        assert amap.total_mm3 == float(ref["union"].sum())
+        assert labels.grid.values.dtype == np.uint8
+        assert np.array_equal(labels.grid.values, ref["labels"])
+
+        # float32 gate labels the edge voxel; the float64 mean makes no overlap
+        assert labels.grid.values[5, 5, 5] == 1
+        assert labels.grid.values[5, 5, 4] == 2 and not ref["overlap"][5, 5, 4]
+        # equal means of organs 2 and 3 go to the lower code
+        tied = labels.grid.values[:3]
+        assert (tied == 2).any() and not (tied == 3).any()
+
+    def test_label_gate_compares_in_float32(self):
+        # float32(0.7) < 0.7: the voxel is labelled as labels_from_soft labels it,
+        # though its float64 mean does not pass for attention.
+        cfg = DetectionConfig(binarize_threshold=0.7)
+        value = np.full((1, 1, 1), 0.7, dtype=np.float32)
+        ps = prediction_set("c", [[value, value]] * 2)
+        amap, labels = reduce_case(ps, cfg)
+        assert labels.grid.values[0, 0, 0] == 1
+        assert amap.source_masks.overlap.values[0, 0, 0] == 0
+        expected = labels_from_soft([ps.reference_grid] * 2, 0.7).grid.values
+        assert np.array_equal(labels.grid.values, expected)
+
+    def test_views_match_reduce_case(self, rng):
+        ps = random_prediction_set(rng, dims=(5, 5, 5), members=3, organs=3)
+        cfg = DetectionConfig(binarize_threshold=0.4)
+        amap, labels = reduce_case(ps, cfg)
+        assert np.array_equal(build_attention(ps, cfg).union_mask.values, amap.union_mask.values)
+        assert np.array_equal(ensemble_label(ps, 0.4).grid.values, labels.grid.values)

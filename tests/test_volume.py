@@ -1,14 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_grid, make_grid, mask_grid
+from oracles import sorted_stack_mean_std
 from segqa.volume import (
     AlignmentError,
     LabelVolume,
     OrganLabelMap,
     PredictionSet,
+    ProbabilityRangeError,
     SoftPrediction,
     VolumeGrid,
     binarize,
@@ -174,6 +178,12 @@ class TestPredictionTypes:
         with pytest.raises(ValueError):
             SoftPrediction("m", (float_grid([[[1.5]]]),))
 
+    def test_nan_probabilities_rejected_with_model_and_organ(self):
+        ok = float_grid([[[0.5]]])
+        with pytest.raises(ProbabilityRangeError, match=r"model 'm', organ 2\b") as exc:
+            SoftPrediction("m", (ok, float_grid([[[np.nan]]])))
+        assert exc.value.code == 2
+
     def test_member_alignment_validated(self):
         a = SoftPrediction("m1", (float_grid(np.zeros((2, 1, 1))),))
         b = SoftPrediction("m2", (float_grid(np.zeros((1, 1, 1))),))
@@ -194,7 +204,26 @@ class TestPredictionTypes:
             LabelVolume(make_grid([[[5]]], dtype=np.uint8), OrganLabelMap.generic(2))
 
 
+# Values that stress an order-stable sum: denormals, 1e-30 next to 1.0,
+# signed zeros, exact ties (values repeat across members) and negatives,
+# which the sort keys of the network map differently from positives.
+ADVERSARIAL = [0.0, -0.0, 1e-45, 1e-40, 1e-30, 0.1, 0.3, 0.5, 1.0 - 2.0**-24, 1.0, -1e-30, -0.5]
+
+
 class TestStableReductions:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("members", [2, 3, 4, 5])
+    def test_network_matches_sorted_stack_bit_exact(self, members, dtype):
+        rng = np.random.default_rng(members)
+        pool = np.array(ADVERSARIAL + ([5e-324, 1e-310] if dtype == np.float64 else []), dtype)
+        arrays = [rng.choice(pool, size=(8, 8, 4)) for _ in range(members)]
+        ref_mean, ref_std = sorted_stack_mean_std(arrays)
+        for perm in itertools.permutations(arrays):
+            mean, std = stable_mean_std(list(perm))
+            assert np.array_equal(mean.view(np.int64), ref_mean.view(np.int64))
+            assert np.array_equal(std.view(np.int64), ref_std.view(np.int64))
+            assert np.array_equal(stable_mean(list(perm)).view(np.int64), ref_mean.view(np.int64))
+
     def test_mean_matches_plain_mean(self, rng):
         arrays = [rng.random((3, 3, 3)) for _ in range(3)]
         assert np.allclose(stable_mean(arrays), np.mean(arrays, axis=0))
