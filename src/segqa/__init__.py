@@ -24,7 +24,6 @@ from .detect import (
     DetectionConfig,
     binary_entropy,
     build_attention,
-    reduce_case,
 )
 from .ensemble import ensemble_label
 from .nifti import NiftiFormatError, read_volume, write_volume
@@ -86,7 +85,6 @@ __all__ = [
     "physical_volume",
     "rank_cases",
     "read_volume",
-    "reduce_case",
     "run_loop",
     "select_for_revision",
     "simulate_revision",

@@ -24,7 +24,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .detect import AttentionMap, DetectionConfig, reduce_case
+from .detect import AttentionMap, DetectionConfig, build_attention
+from .ensemble import ensemble_label
 from .regions import mean_label_dsc
 from .volume import (
     LabelVolume,
@@ -439,9 +440,13 @@ def run_loop(
             missing = sorted(set(case_ids) ^ set(truths))
             raise CampaignError(f"prediction/truth case mismatch: {missing}")
 
-        reduced = {cid: reduce_case(current[cid], cfg, truths[cid].labels) for cid in case_ids}
-        attentions = {cid: reduced[cid][0] for cid in case_ids}
-        pseudos = {cid: reduced[cid][1] for cid in case_ids}
+        attentions = {cid: build_attention(current[cid], cfg) for cid in case_ids}
+        pseudos = {
+            cid: ensemble_label(
+                current[cid], cfg.binarize_threshold, truths[cid].labels
+            )
+            for cid in case_ids
+        }
         entries = [
             CaseEntry(
                 case_id=cid,

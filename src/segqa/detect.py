@@ -24,8 +24,6 @@ import numpy as np
 
 from . import regions
 from .volume import (
-    LabelVolume,
-    OrganLabelMap,
     PredictionSet,
     VolumeGrid,
     physical_volume,
@@ -122,12 +120,8 @@ def binary_entropy(p: np.ndarray | float) -> np.ndarray | float:
     return out
 
 
-def reduce_case(
-    preds: PredictionSet,
-    cfg: DetectionConfig | None = None,
-    labels: OrganLabelMap | None = None,
-) -> tuple[AttentionMap, LabelVolume]:
-    """Attention map and consensus labels of one case, from one pass over the organs.
+def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) -> AttentionMap:
+    """Union the three criterion masks for one case into an attention map.
 
     Per organ, the K member channels are reduced once to their mean and std
     (:func:`stable_mean_std`). A voxel enters the union if the std or the
@@ -135,19 +129,12 @@ def reduce_case(
     organs whose mean passes the binarize threshold) enter unconditionally. A
     per-organ sub-mask additionally claims overlap voxels where that organ's
     mean passes the binarize threshold.
-
-    The consensus label is the organ with the largest mean, taken as float32,
-    if that mean reaches the binarize threshold, else background; ties go to
-    the lowest code. This is :func:`labels_from_soft` of the float32 mean
-    channels, kept as a running argmax so no channel stack is built.
     """
     cfg = cfg or DetectionConfig()
     if preds.num_members < 2:
         raise InsufficientMembersError(
             f"case {preds.case_id!r}: attention needs >= 2 members, got {preds.num_members}"
         )
-    if preds.num_organs > 255:
-        raise ValueError("reduce_case: at most 255 organ channels supported")
     ref = preds.reference_grid
     dims = ref.dims
 
@@ -156,7 +143,6 @@ def reduce_case(
     pass_count = np.zeros(dims, dtype=np.int32)
     organ_parts: list[np.ndarray] = []
     organ_passes: list[np.ndarray] = []
-    best_code = np.ones(dims, dtype=np.uint8)
 
     for c in range(preds.num_organs):
         mean, std = stable_mean_std([m.channels[c].values for m in preds.members])
@@ -170,13 +156,6 @@ def reduce_case(
         organ_parts.append(inconsistent | uncertain)
         organ_passes.append(passes)
 
-        mean32 = mean.astype(np.float32)
-        if c == 0:
-            best = mean32
-        else:
-            best_code[mean32 > best] = c + 1  # strict: ties keep the lower code
-            np.maximum(best, mean32, out=best)
-
     overlap = pass_count >= 2
     union = inconsistent_any | uncertain_any | overlap
 
@@ -188,7 +167,7 @@ def reduce_case(
         ref.with_values((organ_parts[c] | (overlap & organ_passes[c])).astype(np.uint8))
         for c in range(preds.num_organs)
     )
-    attention = AttentionMap(
+    return AttentionMap(
         case_id=preds.case_id,
         union_mask=union_grid,
         per_organ_masks=per_organ,
@@ -200,13 +179,3 @@ def reduce_case(
         per_organ_mm3=tuple(physical_volume(m) for m in per_organ),
         total_mm3=physical_volume(union_grid),
     )
-    # A Python float threshold is compared in float32, as in labels_from_soft.
-    codes = np.where(best >= float(cfg.binarize_threshold), best_code, np.uint8(0))
-    if labels is None:
-        labels = OrganLabelMap.for_channel_count(preds.num_organs)
-    return attention, LabelVolume(ref.with_values(codes), labels)
-
-
-def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) -> AttentionMap:
-    """The attention map of :func:`reduce_case`."""
-    return reduce_case(preds, cfg)[0]

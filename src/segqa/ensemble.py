@@ -7,8 +7,9 @@ downstream entropy. Members are unweighted.
 
 from __future__ import annotations
 
-from .detect import DetectionConfig, reduce_case
-from .volume import LabelVolume, OrganLabelMap, PredictionSet, labels_from_soft
+import numpy as np
+
+from .volume import LabelVolume, OrganLabelMap, PredictionSet, labels_from_soft, stable_mean
 
 
 def ensemble_label(
@@ -17,6 +18,11 @@ def ensemble_label(
     labels: OrganLabelMap | None = None,
 ) -> LabelVolume:
     """Discrete consensus labels: threshold-gated argmax of the mean channels."""
-    if preds.num_members == 1:  # a lone member is its own mean
-        return labels_from_soft(preds.members[0].channels, binarize_threshold, labels)
-    return reduce_case(preds, DetectionConfig(binarize_threshold=binarize_threshold), labels)[1]
+    ref = preds.reference_grid
+    mean_soft = [
+        ref.with_values(
+            stable_mean([m.channels[c].values for m in preds.members]).astype(np.float32)
+        )
+        for c in range(preds.num_organs)
+    ]
+    return labels_from_soft(mean_soft, binarize_threshold, labels)

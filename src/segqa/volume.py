@@ -286,10 +286,14 @@ def labels_from_soft(
         raise ValueError("labels_from_soft: at most 255 organ channels supported")
     t = _check_threshold(threshold)
     require_aligned(*channels, context="soft channels")
-    stack = np.stack([ch.values for ch in channels], axis=0)
-    best = np.argmax(stack, axis=0)  # first maximum, i.e. lowest code
-    peak = np.max(stack, axis=0)
-    codes = np.where(peak >= t, best.astype(np.uint8) + 1, np.uint8(0)).astype(np.uint8)
+    # A running argmax; strict ">" keeps the lowest code on ties, and no
+    # channel stack is built.
+    peak = np.array(channels[0].values, dtype=np.result_type(*(ch.values for ch in channels)))
+    best = np.ones(peak.shape, dtype=np.uint8)
+    for code, ch in enumerate(channels[1:], start=2):
+        best[ch.values > peak] = code
+        np.maximum(peak, ch.values, out=peak)
+    codes = np.where(peak >= t, best, np.uint8(0))
     if labels is None:
         labels = OrganLabelMap.for_channel_count(len(channels))
     return LabelVolume(channels[0].with_values(codes), labels)

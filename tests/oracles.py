@@ -160,6 +160,13 @@ def sorted_stack_mean_std(arrays):
     return mean, np.sqrt(var)
 
 
+def stacked_labels(arrays, threshold):
+    """uint8 label codes from a channel stack: argmax + 1 where its maximum passes."""
+    stack = np.stack(arrays, axis=0)
+    peak = np.max(stack, axis=0)
+    return np.where(peak >= float(threshold), np.argmax(stack, axis=0) + 1, 0).astype(np.uint8)
+
+
 def sorted_stack_reduction(member_channels, cfg):
     """Attention masks and consensus labels, each from its own reduction.
 
@@ -181,9 +188,7 @@ def sorted_stack_reduction(member_channels, cfg):
     any_inconsistent = np.any(inconsistent, axis=0)
     any_uncertain = np.any(uncertain, axis=0)
 
-    soft = np.stack([mean.astype(np.float32) for mean, _ in reduced], axis=0)
-    peak = np.max(soft, axis=0)
-    codes = np.where(peak >= float(cfg.binarize_threshold), np.argmax(soft, axis=0) + 1, 0)
+    codes = stacked_labels([mean.astype(np.float32) for mean, _ in reduced], cfg.binarize_threshold)
     return {
         "union": any_inconsistent | any_uncertain | overlap,
         "inconsistency": any_inconsistent,
@@ -192,5 +197,5 @@ def sorted_stack_reduction(member_channels, cfg):
         "per_organ": [
             inconsistent[c] | uncertain[c] | (overlap & passes[c]) for c in range(organs)
         ],
-        "labels": codes.astype(np.uint8),
+        "labels": codes,
     }

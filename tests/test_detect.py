@@ -12,7 +12,6 @@ from segqa.detect import (
     InsufficientMembersError,
     binary_entropy,
     build_attention,
-    reduce_case,
 )
 from segqa.ensemble import ensemble_label
 from segqa.volume import AlignmentError, SoftPrediction, labels_from_soft, stable_mean_std
@@ -66,7 +65,7 @@ class TestInconsistency:
     def test_single_member_rejected(self):
         ps = prediction_set("c", [[np.zeros((1, 1, 1))]])
         with pytest.raises(InsufficientMembersError):
-            reduce_case(ps)
+            build_attention(ps)
 
     def test_permutation_invariant_bit_exact(self, rng):
         channels = [rng.random((4, 4, 4), dtype=np.float32) for _ in range(3)]
@@ -108,7 +107,7 @@ class TestUncertainty:
 def _overlap(channels):
     """Overlap mask of two identical members, so each channel is its own mean."""
     ps = prediction_set("c", [channels, channels])
-    return reduce_case(ps)[0].source_masks.overlap.values
+    return build_attention(ps).source_masks.overlap.values
 
 
 class TestOverlap:
@@ -219,7 +218,9 @@ class TestBuildAttention:
             PredictionSet("c", (a, b))
 
 
-class TestReduceCase:
+class TestReductionOracle:
+    """build_attention and ensemble_label against the sort-based reference."""
+
     # Member values of organ 1 whose float64 mean lies just below 0.3 while the
     # float32 mean rounds up to float32(0.3).
     EDGE = {2: [0.55, 0.049999985843896866], 3: [0.5, 0.3, 0.09999998658895493]}
@@ -244,7 +245,8 @@ class TestReduceCase:
             channels[0][5, 5, 4:] = value  # organ 1 on the edge at two voxels
             channels[1][5, 5, 4] = 1.0  # organ 2 certain at one of them
 
-        amap, labels = reduce_case(prediction_set("c", member_channels), cfg)
+        ps = prediction_set("c", member_channels)
+        amap, labels = build_attention(ps, cfg), ensemble_label(ps, 0.3)
         ref = sorted_stack_reduction(member_channels, cfg)
         assert np.array_equal(amap.union_mask.values != 0, ref["union"])
         for key in ("inconsistency", "uncertainty", "overlap"):
@@ -269,15 +271,8 @@ class TestReduceCase:
         cfg = DetectionConfig(binarize_threshold=0.7)
         value = np.full((1, 1, 1), 0.7, dtype=np.float32)
         ps = prediction_set("c", [[value, value]] * 2)
-        amap, labels = reduce_case(ps, cfg)
+        amap, labels = build_attention(ps, cfg), ensemble_label(ps, 0.7)
         assert labels.grid.values[0, 0, 0] == 1
         assert amap.source_masks.overlap.values[0, 0, 0] == 0
         expected = labels_from_soft([ps.reference_grid] * 2, 0.7).grid.values
         assert np.array_equal(labels.grid.values, expected)
-
-    def test_views_match_reduce_case(self, rng):
-        ps = random_prediction_set(rng, dims=(5, 5, 5), members=3, organs=3)
-        cfg = DetectionConfig(binarize_threshold=0.4)
-        amap, labels = reduce_case(ps, cfg)
-        assert np.array_equal(build_attention(ps, cfg).union_mask.values, amap.union_mask.values)
-        assert np.array_equal(ensemble_label(ps, 0.4).grid.values, labels.grid.values)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_grid, make_grid, mask_grid
-from oracles import sorted_stack_mean_std
+from oracles import sorted_stack_mean_std, stacked_labels
 from segqa.volume import (
     AlignmentError,
     LabelVolume,
@@ -125,6 +125,17 @@ class TestLabelsFromSoft:
             labels_from_soft(
                 [float_grid(np.zeros((2, 1, 1))), float_grid(np.zeros((1, 1, 1)))], 0.5
             )
+
+    @pytest.mark.parametrize("dtypes", [("f4",) * 4, ("f4", "u1", "f4", "i2")])
+    def test_matches_channel_stack_argmax(self, rng, dtypes):
+        # Coarse values make ties between channels common; 0.7 is not exact in float32.
+        arrays = [(rng.integers(0, 11, (7, 7, 7)) / 10).astype(d) for d in dtypes]
+        arrays[2][:2] = arrays[1][:2]
+        arrays[1][0, 0, 0] = -0.0
+        for t in (0.05, 0.3, 0.5, 0.7, 0.95):
+            lv = labels_from_soft([make_grid(a, dtype=a.dtype) for a in arrays], t)
+            assert lv.grid.values.dtype == np.uint8
+            assert np.array_equal(lv.grid.values, stacked_labels(arrays, t))
 
     def test_default_map_for_nine_channels(self):
         channels = [float_grid(np.zeros((1, 1, 1))) for _ in range(9)]
