@@ -263,15 +263,11 @@ def _entry_from_dict(d: Mapping[str, object]) -> CaseEntry:
     )
 
 
-def _lock_path(path: Path) -> Path:
-    return path.with_name(path.name + ".lock")
-
-
 class _FileLock:
     """Advisory exclusive lock guarding the campaign state file."""
 
     def __init__(self, path: Path):
-        self._path = _lock_path(path)
+        self._path = path.with_name(path.name + ".lock")
         self._fd: int | None = None
 
     def __enter__(self) -> "_FileLock":
@@ -293,9 +289,8 @@ class _FileLock:
             self._fd = None
 
 
-def save_state(state: CampaignState, path: str | Path) -> None:
-    """Atomically persist campaign state (write temp file, then rename)."""
-    path = Path(path)
+def _write_state(state: CampaignState, path: Path) -> None:
+    """Write a temp file, flush it to disk, then rename it over the state file."""
     payload = {
         "version": STATE_VERSION,
         "loop_index": state.loop_index,
@@ -303,16 +298,16 @@ def save_state(state: CampaignState, path: str | Path) -> None:
         "cases": [_entry_to_dict(c) for c in state.cases],
     }
     text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    with _FileLock(path):
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.write(text)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
 
 
-def load_state(path: str | Path) -> CampaignState:
-    path = Path(path)
-    with _FileLock(path):
-        payload = json.loads(path.read_text(encoding="utf-8"))
+def _read_state(path: Path) -> CampaignState:
+    payload = json.loads(path.read_text(encoding="utf-8"))
     if payload.get("version") != STATE_VERSION:
         raise CampaignError(
             f"{path}: unsupported state version {payload.get('version')!r}"
@@ -322,6 +317,26 @@ def load_state(path: str | Path) -> CampaignState:
         loop_index=int(payload["loop_index"]),
         config=dict(payload["config"]),
     )
+
+
+def save_state(state: CampaignState, path: str | Path) -> None:
+    """Atomically persist campaign state (write and fsync a temp file, then rename)."""
+    path = Path(path)
+    with _FileLock(path):
+        _write_state(state, path)
+
+
+def load_state(path: str | Path) -> CampaignState:
+    path = Path(path)
+    with _FileLock(path):
+        return _read_state(path)
+
+
+def update_state(path: str | Path, change: Callable[[CampaignState], CampaignState]) -> None:
+    """Load, change and save the state under one lock, so no concurrent update is lost."""
+    path = Path(path)
+    with _FileLock(path):
+        _write_state(change(_read_state(path)), path)
 
 
 # -- simulated annotator and loop runner --------------------------------------

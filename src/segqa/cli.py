@@ -267,6 +267,15 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print(f"campaign: initialized {state_path} with {len(entries)} cases")
         return 0
 
+    if args.action == "mark":
+        if not args.case or not args.status:
+            raise ValueError("campaign mark: --case and --status are required")
+        camp.update_state(
+            args.state, lambda state: camp.mark_case(state, args.case, args.status, tuple(args.tag))
+        )
+        print(f"campaign: {args.case} -> {args.status}")
+        return 0
+
     state = camp.load_state(args.state)
     if args.action == "status":
         counts = {status: 0 for status in camp.STATUSES}
@@ -277,13 +286,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"{status}: {counts[status]}")
         for rank, entry in enumerate(state.ranking, start=1):
             print(f"{rank}\t{entry.case_id}\t{entry.total_mm3:g}\t{entry.status}")
-        return 0
-    if args.action == "mark":
-        if not args.case or not args.status:
-            raise ValueError("campaign mark: --case and --status are required")
-        state = camp.mark_case(state, args.case, args.status, tuple(args.tag))
-        camp.save_state(state, args.state)
-        print(f"campaign: {args.case} -> {args.status}")
         return 0
     if args.action == "stop-check":
         done = camp.stopping_check(state)

@@ -14,8 +14,8 @@ sizes sidecar, all keyed by the case id.
 from __future__ import annotations
 
 import csv
-import io
 import json
+import os
 import re
 from pathlib import Path
 from typing import Sequence
@@ -53,6 +53,13 @@ def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, Path]]:
         listing = json.loads(manifest.read_text(encoding="utf-8"))
         out: dict[str, dict[int, Path]] = {}
         for case_id, channels in listing.get("cases", {}).items():
+            # Case ids name output files, and channel paths are read: neither may escape.
+            if not case_id or any(part in case_id for part in ("/", "\\", "..")):
+                raise CorpusError(f"{manifest}: case id {case_id!r} is empty or has '/', '\\' or '..'")
+            for code, rel in channels.items():
+                if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == "..":
+                    raise CorpusError(f"{manifest}: case {case_id!r}, organ {code}: channel path "
+                                      f"{rel!r} is absolute or leaves {model_dir}")
             out[case_id] = {int(code): model_dir / rel for code, rel in channels.items()}
         if not out:
             raise CorpusError(f"{manifest}: manifest lists no cases")
@@ -217,16 +224,11 @@ def write_json(path: str | Path, payload: object) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    Path(path).write_text(csv_text(header, rows), encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_ranking_csv(path: str | Path) -> list[dict[str, object]]:

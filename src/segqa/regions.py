@@ -83,44 +83,29 @@ def connected_components(
 
     Returns the components plus an int32 label volume whose ids match them.
     Ids are assigned in ascending order of each component's first voxel in
-    x-fastest scan order, which makes the labeling deterministic regardless
-    of how the underlying pass visits the array.
+    x-fastest scan order, which makes the labeling deterministic. The label
+    pass numbers components in order of first visit in C order, where the
+    last axis is fastest; on the transposed view that axis is x, and the
+    connectivity structures are symmetric under transposition, so labeling
+    ``v.T`` and transposing back gives exactly the x-fastest ids.
     """
     structure = _structure(connectivity)
-    v = _require_binary(mask, "connected_components")
-    raw, n = ndimage.label(v != 0, structure=structure)
-    if n == 0:
-        return [], raw.astype(np.int32)
-
-    ids = np.arange(1, n + 1)
-    linear = np.arange(v.size, dtype=np.int64).reshape(v.shape, order="F")
-    first = np.asarray(ndimage.minimum(linear, labels=raw, index=ids))
-    order = np.argsort(first, kind="stable")
-    lut = np.zeros(n + 1, dtype=np.int32)
-    lut[ids[order]] = np.arange(1, n + 1, dtype=np.int32)
-    labels = lut[raw]
-
-    counts = np.bincount(labels.ravel(), minlength=n + 1)[1:]
+    v = _require_binary(mask, "connected_components") != 0
+    labels_t, n = ndimage.label(v.T, structure=structure)
+    labels = labels_t.T
+    counts = np.bincount(labels_t.ravel(), minlength=n + 1)[1:]
     slices = ndimage.find_objects(labels)
-    centroids = ndimage.center_of_mass(v != 0, labels=labels, index=np.arange(1, n + 1))
-    voxvol = mask.voxel_volume_mm3
-
-    components = []
-    for i in range(n):
-        sl = slices[i]
-        bbox = (
-            (sl[0].start, sl[1].start, sl[2].start),
-            (sl[0].stop - 1, sl[1].stop - 1, sl[2].stop - 1),
+    centroids = ndimage.center_of_mass(v, labels=labels, index=np.arange(1, n + 1))
+    components = [
+        Component(
+            id=i,
+            voxel_count=int(count),
+            size_mm3=float(count) * mask.voxel_volume_mm3,
+            bbox=(tuple(s.start for s in sl), tuple(s.stop - 1 for s in sl)),
+            centroid=tuple(float(x) for x in centroid),
         )
-        components.append(
-            Component(
-                id=i + 1,
-                voxel_count=int(counts[i]),
-                size_mm3=float(counts[i]) * voxvol,
-                bbox=bbox,
-                centroid=tuple(float(x) for x in centroids[i]),
-            )
-        )
+        for i, (count, sl, centroid) in enumerate(zip(counts, slices, centroids), start=1)
+    ]
     return components, labels
 
 
@@ -130,10 +115,10 @@ def remove_small_components(
     """Drop connected components with fewer than min_voxels voxels."""
     if min_voxels <= 1:
         return mask
-    components, labels = connected_components(mask, connectivity)
-    keep = np.zeros(len(components) + 1, dtype=bool)
-    for comp in components:
-        keep[comp.id] = comp.voxel_count >= min_voxels
+    structure = _structure(connectivity)
+    labels, _ = ndimage.label(_require_binary(mask, "remove_small_components"), structure)
+    keep = np.bincount(labels.ravel()) >= min_voxels
+    keep[0] = False
     return mask.with_values(keep[labels].astype(np.uint8))
 
 
@@ -156,22 +141,25 @@ def componentwise_metrics(
     benchmark-error voxel. Zero-denominator metrics come back as None.
     """
     require_aligned(attention, benchmark_error, context="attention/benchmark masks")
-    att_components, att_labels = connected_components(attention, connectivity)
-    err_components, err_labels = connected_components(benchmark_error, connectivity)
+    structure = _structure(connectivity)
+    att = _require_binary(attention, "componentwise_metrics") != 0
+    err = _require_binary(benchmark_error, "componentwise_metrics") != 0
 
-    att = attention.values != 0
-    err = benchmark_error.values != 0
+    # Cropping to the box of att | err keeps every component; the counts
+    # below do not depend on id order.
+    boxes = ndimage.find_objects((att | err).view(np.uint8))
+    if not boxes:
+        return None, None, ConfusionCounts(tp=0, fp=0, fn=0)
+    att, err = att[boxes[0]], err[boxes[0]]
+    att_labels, n_att = ndimage.label(att, structure)
+    err_labels, n_err = ndimage.label(err, structure)
+    both = att & err
+    tp = np.unique(err_labels[both]).size
+    useful = np.unique(att_labels[both]).size
 
-    hit_err_ids = np.unique(err_labels[att & (err_labels > 0)])
-    tp = int(hit_err_ids.size)
-    fn = len(err_components) - tp
-
-    useful_att_ids = np.unique(att_labels[err & (att_labels > 0)])
-    fp = len(att_components) - int(useful_att_ids.size)
-
-    sensitivity = tp / (tp + fn) if (tp + fn) > 0 else None
-    precision = (len(att_components) - fp) / len(att_components) if att_components else None
-    return sensitivity, precision, ConfusionCounts(tp=tp, fp=fp, fn=fn)
+    sensitivity = tp / n_err if n_err else None
+    precision = useful / n_att if n_att else None
+    return sensitivity, precision, ConfusionCounts(tp=tp, fp=n_att - useful, fn=n_err - tp)
 
 
 def dsc(a: VolumeGrid, b: VolumeGrid) -> float:
@@ -245,23 +233,18 @@ def false_positive_scan(
     """
     if not pred_masks:
         raise ValueError("false_positive_scan: empty case list")
-    per_case = []
-    flagged = 0
-    total_components = 0
-    for case_id, mask in pred_masks:
-        v = _require_binary(mask, "false_positive_scan")
-        if np.any(v):
-            components, _ = connected_components(mask, connectivity)
-            flagged += 1
-            total_components += len(components)
-            per_case.append(CaseComponentCount(case_id, len(components)))
-        else:
-            per_case.append(CaseComponentCount(case_id, 0))
+    structure = _structure(connectivity)
+    per_case = tuple(
+        CaseComponentCount(
+            case_id, ndimage.label(_require_binary(mask, "false_positive_scan"), structure)[1]
+        )
+        for case_id, mask in pred_masks
+    )
     return FalsePositiveScan(
         total_cases=len(pred_masks),
-        flagged_case_count=flagged,
-        total_component_count=total_components,
-        per_case=tuple(per_case),
+        flagged_case_count=sum(1 for c in per_case if c.component_count),
+        total_component_count=sum(c.component_count for c in per_case),
+        per_case=per_case,
     )
 
 
@@ -349,12 +332,7 @@ def metrics_json_dict(reports: Sequence[MetricsReport]) -> dict[str, object]:
             for organ, m in report.organs.items()
         }
     summary: dict[str, dict[str, float | None]] = {}
-    organ_names: list[str] = []
-    for report in reports:
-        for organ in report.organs:
-            if organ not in organ_names:
-                organ_names.append(organ)
-    for organ in organ_names:
+    for organ in dict.fromkeys(organ for report in reports for organ in report.organs):
         for key in ("sensitivity", "precision", "dsc"):
             values = [
                 getattr(report.organs[organ], key)

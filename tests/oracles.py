@@ -5,10 +5,16 @@ primitive with the library is the floating-point math itself (numpy scalar
 log2 for the entropy criterion); all set logic, component search and
 reductions are recomputed from scratch.
 
-The sort-based references at the end are the vectorized member reduction,
-attention map and consensus labels as the library computed them before it
-fused them into one pass: a float64 stack sorted along the member axis per
-organ, and a float32 stack of the mean channels for the label argmax.
+The sort-based references are the vectorized member reduction, attention
+map and consensus labels as the library computed them before it fused them
+into one pass: a float64 stack sorted along the member axis per organ, and a
+float32 stack of the mean channels for the label argmax.
+
+The first-voxel references at the end are the component labeling and the
+component-wise metrics as the library computed them before it labeled the
+transposed mask and cropped evaluation to the foreground: ids ordered by a
+per-component minimum over a whole-volume linear index, then boxes and
+centroids for every component.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+from scipy import ndimage
 
 NEIGHBORS = {
     6: [
@@ -199,3 +206,58 @@ def sorted_stack_reduction(member_channels, cfg):
         ],
         "labels": codes,
     }
+
+
+def first_voxel_components(mask: np.ndarray, connectivity: int, voxel_volume_mm3: float = 1.0):
+    """Components and int32 labels, ids sorted by each first voxel's x-fastest index."""
+    from segqa.regions import Component
+
+    rank = {6: 1, 18: 2, 26: 3}[connectivity]
+    v = np.asarray(mask) != 0
+    raw, n = ndimage.label(v, structure=ndimage.generate_binary_structure(3, rank))
+    if n == 0:
+        return [], raw.astype(np.int32)
+
+    ids = np.arange(1, n + 1)
+    linear = np.arange(v.size, dtype=np.int64).reshape(v.shape, order="F")
+    first = np.asarray(ndimage.minimum(linear, labels=raw, index=ids))
+    order = np.argsort(first, kind="stable")
+    lut = np.zeros(n + 1, dtype=np.int32)
+    lut[ids[order]] = np.arange(1, n + 1, dtype=np.int32)
+    labels = lut[raw]
+
+    counts = np.bincount(labels.ravel(), minlength=n + 1)[1:]
+    slices = ndimage.find_objects(labels)
+    centroids = ndimage.center_of_mass(v, labels=labels, index=ids)
+    components = []
+    for i in range(n):
+        sl = slices[i]
+        components.append(
+            Component(
+                id=i + 1,
+                voxel_count=int(counts[i]),
+                size_mm3=float(counts[i]) * voxel_volume_mm3,
+                bbox=(
+                    (sl[0].start, sl[1].start, sl[2].start),
+                    (sl[0].stop - 1, sl[1].stop - 1, sl[2].stop - 1),
+                ),
+                centroid=tuple(float(x) for x in centroids[i]),
+            )
+        )
+    return components, labels
+
+
+def first_voxel_componentwise(attention: np.ndarray, benchmark: np.ndarray, connectivity: int):
+    """Sensitivity/precision from whole-volume first-voxel labelings of both masks."""
+    att_components, att_labels = first_voxel_components(attention, connectivity)
+    err_components, err_labels = first_voxel_components(benchmark, connectivity)
+    att = attention != 0
+    err = benchmark != 0
+
+    tp = int(np.unique(err_labels[att & (err_labels > 0)]).size)
+    fn = len(err_components) - tp
+    fp = len(att_components) - int(np.unique(att_labels[err & (att_labels > 0)]).size)
+
+    sensitivity = tp / (tp + fn) if (tp + fn) > 0 else None
+    precision = (len(att_components) - fp) / len(att_components) if att_components else None
+    return sensitivity, precision, tp, fp, fn

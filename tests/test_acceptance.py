@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import float_grid, make_grid, mask_grid, prediction_set
+from grids import float_grid, make_grid, mask_grid, prediction_set
 from oracles import attention_union_oracle, componentwise_oracle
 from segqa.campaign import LoopPolicy, run_loop
 from segqa.cli import main

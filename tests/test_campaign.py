@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_grid, prediction_set
+from grids import make_grid, prediction_set
 from segqa.campaign import (
     CampaignError,
     CampaignState,
@@ -203,6 +208,45 @@ class TestPersistence:
             with pytest.raises(StateFileLockedError):
                 save_state(CampaignState(cases=(entry("a", 1),)), path)
 
+    def test_concurrent_marks_lose_no_update(self, tmp_path):
+        """More marking processes than cores; each retries when the state is locked."""
+        path = tmp_path / "campaign.json"
+        workers, per_worker = 4, 4
+        ids = [f"w{w}c{i}" for w in range(workers) for i in range(per_worker)]
+        save_state(CampaignState(cases=tuple(entry(cid, 1) for cid in ids)), path)
+        script = (
+            "import contextlib, io, sys, time\n"
+            "from segqa.cli import main\n"
+            "deadline = time.monotonic() + 60\n"
+            "for case in sys.argv[2:]:\n"
+            "    while True:\n"
+            "        err = io.StringIO()\n"
+            "        with contextlib.redirect_stderr(err):\n"
+            "            rc = main(['campaign', 'mark', '--state', sys.argv[1],\n"
+            "                       '--case', case, '--status', 'revised'])\n"
+            "        if rc == 0:\n"
+            "            break\n"
+            "        if 'in use' not in err.getvalue() or time.monotonic() > deadline:\n"
+            "            sys.exit(err.getvalue() or 'timed out')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(path), *ids[w::workers]],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+            for w in range(workers)
+        ]
+        try:
+            errors = [p.communicate(timeout=90)[1] for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+        assert [p.returncode for p in procs] == [0] * workers, errors
+        assert {c.case_id: c.status for c in load_state(path).cases} == dict.fromkeys(
+            ids, "revised"
+        )
+
 
 def two_organ_case(error_all_models=False):
     """One case: organ 1 cube, organ 2 cube; models disagree on part of organ 1."""
@@ -273,7 +317,7 @@ class TestSimulateRevision:
 
     def test_voxelwise_identity_against_where_oracle(self, rng):
         from segqa.detect import AttentionMap, CriterionMasks
-        from conftest import mask_grid
+        from grids import mask_grid
 
         labels = OrganLabelMap.generic(2)
         for _ in range(20):

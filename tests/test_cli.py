@@ -31,6 +31,16 @@ def blob_corpus(tmp_path):
     return tmp_path, int(blob.sum())
 
 
+def two_pending_cases():
+    from segqa.campaign import CaseEntry
+
+    return tuple(
+        CaseEntry(case_id=cid, per_organ_mm3={"organ1": mm3}, total_mm3=mm3,
+                  created_at="t0", updated_at="t0")
+        for cid, mm3 in (("a", 2.0), ("b", 1.0))
+    )
+
+
 class TestEstimate:
     def test_headline_output(self, capsys):
         assert main(["estimate", "--revised", "400", "--total", "8000"]) == 0
@@ -74,6 +84,20 @@ class TestDetectRankSelect:
         err = capsys.readouterr().err
         assert f"case 'case1': {path}: model 'modelB', organ 1:" in err
         assert not (root / "attention" / "case1_sizes.json").exists()
+
+    def test_detect_rejects_path_escaping_manifest(self, blob_corpus, capsys):
+        root, _ = blob_corpus
+        for model in ("modelA", "modelB"):
+            channel = str(root / model / "case1_organ1.nii.gz")  # absolute, and readable
+            manifest = root / model / "manifest.json"
+            manifest.write_text(json.dumps({"cases": {"../../escape": {"1": channel}}}))
+        out = root / "deep" / "attention"
+        rc = main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "'../../escape'" in capsys.readouterr().err
+        assert not (root / "escape_attention_organ1.nii.gz").exists()
+        assert not (root / "escape_sizes.json").exists()
 
     def test_detect_needs_two_models(self, blob_corpus):
         root, _ = blob_corpus
@@ -280,6 +304,29 @@ class TestCampaignCli:
         payload = json.loads(state.read_text())
         assert payload["version"] == 1
         assert payload["cases"][0]["error_tags"] == ["boundary"]
+
+    def test_mark_holds_one_lock_across_load_and_save(self, tmp_path, monkeypatch, capsys):
+        from segqa import campaign
+
+        state = tmp_path / "campaign.json"
+        campaign.save_state(campaign.CampaignState(cases=two_pending_cases()), state)
+        original = campaign.mark_case
+        inner = []
+
+        def mark_with_a_concurrent_mark(*args, **kwargs):
+            # Another mark arrives while this one is between load and save.
+            monkeypatch.setattr(campaign, "mark_case", original)
+            inner.append(main(["campaign", "mark", "--state", str(state),
+                               "--case", "b", "--status", "revised"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "mark_case", mark_with_a_concurrent_mark)
+        assert main(["campaign", "mark", "--state", str(state), "--case", "a",
+                     "--status", "confirmed"]) == 0
+        assert inner == [1]
+        assert "in use by another process" in capsys.readouterr().err
+        cases = {c["case_id"]: c["status"] for c in json.loads(state.read_text())["cases"]}
+        assert cases == {"a": "confirmed", "b": "pending"}
 
     def test_mark_unknown_case_fails(self, blob_corpus):
         root, _ = blob_corpus

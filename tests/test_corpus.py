@@ -74,6 +74,36 @@ class TestManifestOverride:
         assert float(preds.members[0].channels[1].values[0, 0, 0]) == 0.75
 
 
+    @pytest.mark.parametrize("case_id", ["../../escape", "sub/case", "..", "a..b", "win\\case", ""])
+    def test_manifest_rejects_path_escaping_case_id(self, tmp_path, case_id):
+        model = tmp_path / "model"
+        write_float(model / "a.nii.gz", np.zeros((2, 2, 2)))
+        manifest = model / "manifest.json"
+        manifest.write_text(json.dumps({"cases": {case_id: {"1": "a.nii.gz"}}}))
+        with pytest.raises(CorpusError) as exc:
+            find_channel_volumes(model)
+        assert str(manifest) in str(exc.value)
+        assert repr(case_id) in str(exc.value)
+
+    @pytest.mark.parametrize("rel", ["/data/other/a.nii.gz", "../outside.nii.gz", "sub/../../x.nii.gz", ".."])
+    def test_manifest_rejects_channel_path_outside_model_dir(self, tmp_path, rel):
+        model = tmp_path / "model"
+        write_float(model / "a.nii.gz", np.zeros((2, 2, 2)))
+        manifest = model / "manifest.json"
+        manifest.write_text(json.dumps({"cases": {"c1": {"1": "a.nii.gz", "2": rel}}}))
+        with pytest.raises(CorpusError) as exc:
+            find_channel_volumes(model)
+        assert str(manifest) in str(exc.value)
+        assert repr(rel) in str(exc.value) and "'c1'" in str(exc.value)
+
+    def test_manifest_accepts_nested_relative_paths(self, tmp_path):
+        model = tmp_path / "model"
+        write_float(model / "sub" / "a.nii.gz", np.zeros((2, 2, 2)))
+        (model / "manifest.json").write_text(
+            json.dumps({"cases": {"c.1": {"1": "sub/./a.nii.gz"}}})
+        )
+        assert find_channel_volumes(model) == {"c.1": {1: model / "sub" / "a.nii.gz"}}
+
 class TestLoad:
     def test_prediction_set_model_ids_from_dir_names(self, tmp_path):
         for model in ("alpha", "beta"):

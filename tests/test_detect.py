@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float_grid, prediction_set, random_prediction_set
+from grids import float_grid, prediction_set, random_prediction_set
 from oracles import attention_union_oracle, sorted_stack_mean_std, sorted_stack_reduction
 from segqa.detect import (
     DetectionConfig,

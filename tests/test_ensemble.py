@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import prediction_set, random_prediction_set
+from grids import prediction_set, random_prediction_set
 from segqa.ensemble import ensemble_label
 from segqa.volume import labels_from_soft, stable_mean
 

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import make_grid
+from grids import make_grid
 from segqa.nifti import (
     HEADER_SIZE,
     BadDimensionError,

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import make_grid, mask_grid
-from oracles import componentwise_oracle, flood_components
+from grids import make_grid, mask_grid
+from oracles import (
+    componentwise_oracle,
+    first_voxel_components,
+    first_voxel_componentwise,
+    flood_components,
+)
 from segqa.regions import (
     componentwise_metrics,
     connected_components,
@@ -74,6 +79,96 @@ class TestConnectedComponents:
                 got = {tuple(c) for c in np.argwhere(labels == comp.id)}
                 assert got == blob
                 assert comp.voxel_count == len(blob)
+
+
+def face_masks(rng):
+    """Sparse random masks plus, per case, voxels on one face or on all six."""
+    shape = (6, 5, 4)
+    faces = [(axis, end) for axis in range(3) for end in (0, -1)]
+    out = []
+    for axis, end in faces:
+        v = (rng.random(shape) < 0.15).astype(np.uint8)
+        index = [slice(None)] * 3
+        index[axis] = end
+        v[tuple(index)] = rng.random(v[tuple(index)].shape) < 0.6
+        out.append(v)
+    shell = np.ones(shape, dtype=np.uint8)
+    shell[1:-1, 1:-1, 1:-1] = 0  # one component touching every face
+    out.append(shell)
+    corners = np.zeros(shape, dtype=np.uint8)
+    corners[::5, ::4, ::3] = 1  # one voxel in each corner of the volume
+    out.append(corners)
+    return out
+
+
+def oracle_masks(rng):
+    """Random masks of several shapes and densities, face cases and thin volumes."""
+    out = []
+    for shape in ((5, 5, 5), (7, 4, 3), (3, 6, 9)):
+        for density in (0.05, 0.3, 0.6):
+            out += [(rng.random(shape) < density).astype(np.uint8) for _ in range(4)]
+    out += face_masks(rng)
+    for shape in ((1, 6, 5), (6, 1, 5), (6, 5, 1), (1, 1, 8), (8, 1, 1), (1, 1, 1)):
+        out += [(rng.random(shape) < 0.5).astype(np.uint8) for _ in range(3)]
+    out.append(np.zeros((4, 3, 2), dtype=np.uint8))
+    out.append(np.ones((4, 3, 2), dtype=np.uint8))
+    return out
+
+
+class TestFirstVoxelOracle:
+    """The labeling and the cropped metrics equal the whole-volume first-voxel references."""
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_components_match_first_voxel_order(self, rng, connectivity):
+        for v in oracle_masks(rng):
+            components, labels = connected_components(
+                mask_grid(v, spacing=(0.5, 1.0, 3.0)), connectivity
+            )
+            ref_components, ref_labels = first_voxel_components(v, connectivity, 1.5)
+            assert labels.dtype == ref_labels.dtype == np.int32
+            assert np.array_equal(labels, ref_labels)
+            assert [c.id for c in components] == [c.id for c in ref_components]
+            assert components == ref_components
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_remove_small_matches_reference_sizes(self, rng, connectivity):
+        for v in oracle_masks(rng):
+            components, labels = first_voxel_components(v, connectivity)
+            keep = np.zeros(len(components) + 1, dtype=bool)
+            for comp in components:
+                keep[comp.id] = comp.voxel_count >= 3
+            out = remove_small_components(mask_grid(v), 3, connectivity)
+            assert np.array_equal(out.values, keep[labels].astype(np.uint8))
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_metrics_match_first_voxel_reference(self, rng, connectivity):
+        masks = oracle_masks(rng)
+        pairs = []
+        for v in masks:
+            # Pair each mask with a random one, then leave out either side or both.
+            pairs.append((v, (rng.random(v.shape) < 0.3).astype(np.uint8)))
+            pairs.append((v, np.zeros_like(v)))
+            pairs.append((np.zeros_like(v), v))
+            pairs.append((np.zeros_like(v), np.zeros_like(v)))
+        whole = np.zeros((5, 4, 3), dtype=np.uint8)
+        far = np.zeros_like(whole)
+        whole[0, 0, 0] = far[-1, -1, -1] = 1  # the crop box is the whole volume
+        pairs += [(whole, far), (far, whole), (whole | far, far)]
+        for att, err in pairs:
+            s, p, counts = componentwise_metrics(mask_grid(att), mask_grid(err), connectivity)
+            expected = first_voxel_componentwise(att, err, connectivity)
+            assert (s, p, counts.tp, counts.fp, counts.fn) == expected
+
+    def test_scan_counts_match_reference(self, rng):
+        masks = oracle_masks(rng)
+        for connectivity in (6, 18, 26):
+            scan = false_positive_scan(
+                [(f"c{i}", mask_grid(v)) for i, v in enumerate(masks)], connectivity
+            )
+            expected = [len(first_voxel_components(v, connectivity)[0]) for v in masks]
+            assert [c.component_count for c in scan.per_case] == expected
+            assert scan.total_component_count == sum(expected)
+            assert scan.flagged_case_count == sum(1 for v in masks if v.any())
 
 
 class TestRemoveSmall:

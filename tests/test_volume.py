@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float_grid, make_grid, mask_grid
+from grids import float_grid, make_grid, mask_grid
 from oracles import sorted_stack_mean_std, stacked_labels
 from segqa.volume import (
     AlignmentError,
