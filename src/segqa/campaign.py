@@ -26,6 +26,7 @@ import numpy as np
 
 from .detect import AttentionMap, DetectionConfig, build_attention
 from .ensemble import ensemble_label
+from .nifti import open_replacing
 from .regions import mean_label_dsc
 from .volume import (
     LabelVolume,
@@ -264,7 +265,7 @@ def _entry_from_dict(d: Mapping[str, object]) -> CaseEntry:
 
 
 class _FileLock:
-    """Advisory exclusive lock guarding the campaign state file."""
+    """Advisory exclusive lock guarding writes to the campaign state file."""
 
     def __init__(self, path: Path):
         self._path = path.with_name(path.name + ".lock")
@@ -298,12 +299,10 @@ def _write_state(state: CampaignState, path: Path) -> None:
         "cases": [_entry_to_dict(c) for c in state.cases],
     }
     text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
+    with open_replacing(path, "w", encoding="utf-8") as f:
         f.write(text)
         f.flush()
         os.fsync(f.fileno())
-    os.replace(tmp, path)
 
 
 def _read_state(path: Path) -> CampaignState:
@@ -327,9 +326,8 @@ def save_state(state: CampaignState, path: str | Path) -> None:
 
 
 def load_state(path: str | Path) -> CampaignState:
-    path = Path(path)
-    with _FileLock(path):
-        return _read_state(path)
+    """Read the state without the lock: every write renames a whole file into place."""
+    return _read_state(Path(path))
 
 
 def update_state(path: str | Path, change: Callable[[CampaignState], CampaignState]) -> None:

@@ -26,7 +26,7 @@ from . import campaign as camp
 from . import corpus, regions
 from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
-from .nifti import NiftiFormatError, read_volume, write_volume
+from .nifti import NiftiFormatError, open_replacing, read_volume, write_volume
 from .volume import LabelVolume, OrganLabelMap, VolumeGrid
 
 PROG = "segqa"
@@ -59,9 +59,9 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
                    help="drop union components smaller than this many voxels")
 
 
-def _detect_one(task: tuple[str, list[str], str, DetectionConfig]) -> str:
-    case_id, model_dirs, out_dir, cfg = task
-    preds = corpus.load_prediction_set(case_id, model_dirs)
+def _detect_one(task: tuple[str, corpus.CaseChannels, str, DetectionConfig]) -> str:
+    case_id, members, out_dir, cfg = task
+    preds = corpus.load_prediction_set(case_id, members)
     amap = build_attention(preds, cfg)
     labels = OrganLabelMap.for_channel_count(preds.num_organs)
     corpus.write_attention_outputs(out_dir, amap, labels, cfg)
@@ -73,9 +73,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     model_dirs = [str(d) for d in args.preds]
     if len(model_dirs) < 2:
         raise ValueError("detect: need at least two --preds model directories")
-    case_ids, _ = corpus.discover_cases(model_dirs)
+    index = corpus.discover_cases(model_dirs)
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    tasks = [(cid, model_dirs, str(args.out), cfg) for cid in case_ids]
+    tasks = [(cid, index.members[cid], str(args.out), cfg) for cid in index.case_ids]
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
             done = pool.map(_detect_one, tasks)
@@ -180,7 +180,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     corpus.write_json(args.out, regions.metrics_json_dict(reports))
     csv_path = Path(args.out).with_suffix(".csv")
-    csv_path.write_text(regions.metrics_csv(reports), encoding="utf-8")
+    with open_replacing(csv_path, "w", encoding="utf-8") as f:
+        f.write(regions.metrics_csv(reports))
     print(f"evaluate: wrote {args.out} and {csv_path} ({len(reports)} cases)")
     return 0
 
@@ -231,13 +232,12 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
-    model_dirs = [str(d) for d in args.preds]
-    case_ids, organ_count = corpus.discover_cases(model_dirs)
-    labels = OrganLabelMap.for_channel_count(organ_count)
+    index = corpus.discover_cases([str(d) for d in args.preds])
+    labels = OrganLabelMap.for_channel_count(index.organ_count)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for case_id in case_ids:
-        preds = corpus.load_prediction_set(case_id, model_dirs)
+    for case_id in index.case_ids:
+        preds = corpus.load_prediction_set(case_id, index.members[case_id])
         label = ensemble_label(preds, args.bin_thresh, labels)
         write_volume(label.grid, out_dir / f"{case_id}.nii.gz")
         corpus.write_json(
@@ -249,7 +249,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
                 "organ_names": list(labels.names),
             },
         )
-    print(f"ensemble: wrote {len(case_ids)} label volumes to {args.out}")
+    print(f"ensemble: wrote {len(index.case_ids)} label volumes to {args.out}")
     return 0
 
 
@@ -296,17 +296,16 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _detection_config(args)
-    model_dirs = [str(d) for d in args.preds]
-    case_ids, organ_count = corpus.discover_cases(model_dirs)
-    labels = OrganLabelMap.for_channel_count(organ_count)
+    index = corpus.discover_cases([str(d) for d in args.preds])
+    labels = OrganLabelMap.for_channel_count(index.organ_count)
     truth_files = corpus.find_label_volumes(args.truth)
-    missing = [cid for cid in case_ids if cid not in truth_files]
+    missing = [cid for cid in index.case_ids if cid not in truth_files]
     if missing:
         raise corpus.CorpusError(f"missing truth labels for cases: {missing[:5]}")
 
-    loop0 = {cid: corpus.load_prediction_set(cid, model_dirs) for cid in case_ids}
+    loop0 = {cid: corpus.load_prediction_set(cid, m) for cid, m in index.members.items()}
     truths = {
-        cid: corpus.load_label_volume(truth_files[cid], labels) for cid in case_ids
+        cid: corpus.load_label_volume(truth_files[cid], labels) for cid in index.case_ids
     }
     policy = camp.LoopPolicy(
         size_threshold_mm3=args.threshold_mm3,

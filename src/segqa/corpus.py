@@ -7,8 +7,16 @@ overrides the naming convention:
 
     {"cases": {"case01": {"1": "some/file.nii.gz", "2": "..."}}}
 
+Each command lists every model directory once: ``discover_cases`` checks the
+listings against each other and returns one ``CorpusIndex`` that hands every
+case its own channel paths, so loading a case reads only its files.
+
+A case id, from a file name, a manifest or a sizes sidecar, is a plain name:
+non-empty, with no ``/``, ``\\`` or ``..``.
+
 Attention outputs for a case are the union mask, one mask per organ and a
-sizes sidecar, all keyed by the case id.
+sizes sidecar, all keyed by the case id. Every output is written to a temp
+file and renamed into place, so a killed run leaves no truncated file.
 """
 
 from __future__ import annotations
@@ -18,12 +26,12 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .detect import AttentionMap, DetectionConfig
-from .nifti import read_volume, write_volume
+from .nifti import open_replacing, read_volume, write_volume
 from .volume import (
     LabelVolume,
     OrganLabelMap,
@@ -42,6 +50,24 @@ class CorpusError(ValueError):
     """The on-disk layout does not match the expected convention."""
 
 
+# One case's channels: a (model_id, channel paths in code order) pair per model directory.
+CaseChannels = tuple[tuple[str, tuple[Path, ...]], ...]
+
+
+class CorpusIndex(NamedTuple):
+    """Sorted case ids, the organ count and each case's channels, from one listing."""
+
+    case_ids: list[str]
+    organ_count: int
+    members: dict[str, CaseChannels]
+
+
+def _check_case_id(case_id: object, source: Path) -> None:
+    # Case ids name output files and are joined onto input directories: none may escape.
+    if not isinstance(case_id, str) or not case_id or any(p in case_id for p in ("/", "\\", "..")):
+        raise CorpusError(f"{source}: case id {case_id!r} is empty or has '/', '\\' or '..'")
+
+
 def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, Path]]:
     """Map case id -> organ code -> channel file for one model directory."""
     model_dir = Path(model_dir)
@@ -53,9 +79,7 @@ def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, Path]]:
         listing = json.loads(manifest.read_text(encoding="utf-8"))
         out: dict[str, dict[int, Path]] = {}
         for case_id, channels in listing.get("cases", {}).items():
-            # Case ids name output files, and channel paths are read: neither may escape.
-            if not case_id or any(part in case_id for part in ("/", "\\", "..")):
-                raise CorpusError(f"{manifest}: case id {case_id!r} is empty or has '/', '\\' or '..'")
+            _check_case_id(case_id, manifest)
             for code, rel in channels.items():
                 if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == "..":
                     raise CorpusError(f"{manifest}: case {case_id!r}, organ {code}: channel path "
@@ -69,6 +93,7 @@ def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, Path]]:
     for path in sorted(model_dir.iterdir()):
         m = CHANNEL_RE.match(path.name)
         if m:
+            _check_case_id(m.group("case"), path)
             found.setdefault(m.group("case"), {})[int(m.group("code"))] = path
     if not found:
         raise CorpusError(f"{model_dir}: no *_organ<code>.nii[.gz] channel files found")
@@ -86,64 +111,55 @@ def find_label_volumes(directory: str | Path) -> dict[str, Path]:
             continue
         m = LABEL_RE.match(path.name)
         if m:
+            _check_case_id(m.group("case"), path)
             found[m.group("case")] = path
     if not found:
         raise CorpusError(f"{directory}: no *.nii[.gz] label files found")
     return found
 
 
-def _check_codes(case_id: str, model_dir: Path, codes: Sequence[int]) -> int:
-    expected = list(range(1, len(codes) + 1))
-    if sorted(codes) != expected:
-        raise CorpusError(
-            f"{model_dir}: case {case_id!r} channels must cover codes {expected}, "
-            f"got {sorted(codes)}"
-        )
-    return len(codes)
-
-
-def discover_cases(model_dirs: Sequence[str | Path]) -> tuple[list[str], int]:
-    """Shared sorted case ids and organ count across model directories."""
+def discover_cases(model_dirs: Sequence[str | Path]) -> CorpusIndex:
+    """List each model directory once and index every case's channels per model."""
     if not model_dirs:
         raise CorpusError("need at least one model directory")
     per_model = [find_channel_volumes(d) for d in model_dirs]
-    case_sets = [set(m) for m in per_model]
-    common = case_sets[0]
-    for i, s in enumerate(case_sets[1:], start=1):
-        if s != common:
-            diff = sorted(common ^ s)
+    for model_dir, channels in zip(model_dirs, per_model):
+        if channels.keys() != per_model[0].keys():
+            diff = sorted(per_model[0].keys() ^ channels.keys())
             raise CorpusError(
                 f"model directories disagree on cases (e.g. {diff[:5]}); "
-                f"offending directory: {model_dirs[i]}"
+                f"offending directory: {model_dir}"
             )
+    case_ids = sorted(per_model[0])
     organ_counts = set()
-    for model_dir, channels in zip(model_dirs, per_model):
-        for case_id, by_code in channels.items():
-            organ_counts.add(_check_codes(case_id, Path(model_dir), list(by_code)))
+    members = {}
+    for case_id in case_ids:
+        entry = []
+        for model_dir, channels in zip(model_dirs, per_model):
+            by_code = channels[case_id]
+            paths = tuple(by_code.get(code) for code in range(1, len(by_code) + 1))
+            if None in paths:
+                raise CorpusError(f"{model_dir}: case {case_id!r} channels must cover codes "
+                                  f"{list(range(1, len(paths) + 1))}, got {sorted(by_code)}")
+            organ_counts.add(len(paths))
+            entry.append((Path(model_dir).name, paths))
+        members[case_id] = tuple(entry)
     if len(organ_counts) != 1:
         raise CorpusError(f"inconsistent organ channel counts: {sorted(organ_counts)}")
-    return sorted(common), organ_counts.pop()
+    return CorpusIndex(case_ids, organ_counts.pop(), members)
 
 
-def load_prediction_set(
-    case_id: str, model_dirs: Sequence[str | Path]
-) -> PredictionSet:
-    """Load one case's channels from every model directory."""
-    members = []
-    for model_dir in model_dirs:
-        model_dir = Path(model_dir)
-        channels_by_code = find_channel_volumes(model_dir).get(case_id)
-        if not channels_by_code:
-            raise CorpusError(f"{model_dir}: no channels for case {case_id!r}")
-        _check_codes(case_id, model_dir, list(channels_by_code))
-        channels = tuple(
-            read_volume(channels_by_code[code]) for code in sorted(channels_by_code)
-        )
+def load_prediction_set(case_id: str, members: CaseChannels) -> PredictionSet:
+    """Load one case from its index entry: each model's id and channel paths in code order."""
+    loaded = []
+    for model_id, paths in members:
         try:
-            members.append(SoftPrediction(model_id=model_dir.name, channels=channels))
+            loaded.append(
+                SoftPrediction(model_id=model_id, channels=tuple(read_volume(p) for p in paths))
+            )
         except ProbabilityRangeError as exc:
-            raise CorpusError(f"case {case_id!r}: {channels_by_code[exc.code]}: {exc}") from exc
-    return PredictionSet(case_id=case_id, members=tuple(members))
+            raise CorpusError(f"case {case_id!r}: {paths[exc.code - 1]}: {exc}") from exc
+    return PredictionSet(case_id=case_id, members=tuple(loaded))
 
 
 def load_label_volume(path: str | Path, labels: OrganLabelMap) -> LabelVolume:
@@ -202,6 +218,7 @@ def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
     sizes = []
     for path in sorted(attention_dir.glob("*_sizes.json")):
         sizes.append(json.loads(path.read_text(encoding="utf-8")))
+        _check_case_id(sizes[-1]["case_id"], path)
     if not sizes:
         raise CorpusError(f"{attention_dir}: no *_sizes.json files found")
     return sorted(sizes, key=lambda s: s["case_id"])
@@ -221,11 +238,12 @@ def load_attention_masks(
 
 def write_json(path: str | Path, payload: object) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    with open_replacing(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with open_replacing(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

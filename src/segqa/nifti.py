@@ -10,13 +10,15 @@ than a crash.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Union
+from typing import IO, BinaryIO, Iterator, Union
 
 import numpy as np
 
@@ -280,19 +282,40 @@ def header_bytes(grid: VolumeGrid) -> bytes:
     )
 
 
+@contextlib.contextmanager
+def open_replacing(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """Open a temp file beside ``path``; rename it over ``path`` when the block succeeds.
+
+    Readers and later runs see the whole old file or the whole new one, never
+    a truncated one; if the block raises, the temp file is removed. The temp
+    name ``.<name>.<pid>.tmp`` matches no discovery pattern, and the pid keeps
+    parallel workers apart. It does not fsync; a caller that needs the data
+    on disk fsyncs inside the block.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_volume(grid: VolumeGrid, path: str | Path, compress: bool | None = None) -> None:
     """Write a grid as a single-file NIfTI-1 volume.
 
     compress=None infers gzip from a .gz suffix. Writes are deterministic
     (gzip timestamp pinned to zero), so identical grids produce identical
-    bytes.
+    bytes. The file is written by rename (see ``open_replacing``).
     """
     path = Path(path)
     if compress is None:
         compress = path.suffix == ".gz"
     payload = np.asarray(grid.values, dtype=_DTYPES[_CODES[grid.values.dtype]])
     blob = header_bytes(grid) + b"\x00\x00\x00\x00" + payload.tobytes(order="F")
-    with open(path, "wb") as f:
+    with open_replacing(path) as f:
         if compress:
             # empty filename + zero mtime keep the gzip header byte-stable
             with gzip.GzipFile(filename="", fileobj=f, mode="wb", mtime=0) as gz:

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,23 @@ def blob_corpus(tmp_path):
     write_channel(tmp_path / "modelA" / "case1_organ1.nii.gz", blob)
     write_channel(tmp_path / "modelB" / "case1_organ1.nii.gz", np.zeros(dims, np.float32))
     return tmp_path, int(blob.sum())
+
+
+MODELS = ("m0", "m1", "m2")
+
+
+@pytest.fixture
+def six_case_corpus(tmp_path):
+    """Three models, two organs, six cases of random probabilities, and truth labels."""
+    rng = np.random.default_rng(7)
+    dims = (5, 5, 4)
+    root = tmp_path / "corpus"
+    for case in range(6):
+        write_labels(root / "truth" / f"case{case}.nii.gz", rng.integers(0, 3, size=dims))
+        for model in MODELS:
+            for code in (1, 2):
+                write_channel(root / model / f"case{case}_organ{code}.nii.gz", rng.random(dims))
+    return root, [str(root / m) for m in MODELS]
 
 
 def two_pending_cases():
@@ -172,6 +190,82 @@ class TestDetectRankSelect:
         assert names1 == names2
         for name in names1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestCorpusIndex:
+    @pytest.mark.parametrize("command", ["detect", "ensemble", "simulate"])
+    def test_each_model_directory_listed_once(self, six_case_corpus, monkeypatch, tmp_path,
+                                              command):
+        from segqa import corpus
+
+        root, models = six_case_corpus
+        listed = []
+        real = corpus.find_channel_volumes
+
+        def counting(model_dir):
+            listed.append(str(model_dir))
+            return real(model_dir)
+
+        monkeypatch.setattr(corpus, "find_channel_volumes", counting)
+        out = ["--out", str(tmp_path / "out")]
+        if command == "simulate":
+            out = ["--truth", str(root / "truth"), "--out", str(tmp_path / "report.json")]
+        assert main([command, "--preds", *models, *out]) == 0
+        assert sorted(listed) == sorted(models)
+
+    def test_manifest_corpus_gives_identical_outputs(self, six_case_corpus, tmp_path):
+        root, models = six_case_corpus
+        renamed = []
+        for model in models:
+            target = tmp_path / "renamed" / Path(model).name
+            cases: dict[str, dict[str, str]] = {}
+            for path in sorted(Path(model).iterdir()):
+                case, code = path.name[: -len(".nii.gz")].split("_organ")
+                rel = f"organ-{code}/{case}.nii.gz"
+                (target / rel).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(path, target / rel)
+                cases.setdefault(case, {})[code] = rel
+            (target / "manifest.json").write_text(json.dumps({"cases": cases}))
+            renamed.append(str(target))
+        for command in ("detect", "ensemble"):
+            a, b = tmp_path / f"{command}_a", tmp_path / f"{command}_b"
+            assert main([command, "--preds", *models, "--out", str(a)]) == 0
+            assert main([command, "--preds", *renamed, "--out", str(b)]) == 0
+            names = sorted(p.name for p in a.iterdir())
+            assert len(names) > 6 and names == sorted(p.name for p in b.iterdir())
+            for name in names:
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_parallel_task_carries_only_its_case(self, six_case_corpus, monkeypatch, tmp_path):
+        from segqa import cli
+
+        root, models = six_case_corpus
+        tasks = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                assert processes == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                tasks.extend(items)
+                return [fn(t) for t in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", InlinePool)
+        out = tmp_path / "attention"
+        assert main(["detect", "--preds", *models, "--out", str(out), "--jobs", "2"]) == 0
+        assert [t[0] for t in tasks] == [f"case{i}" for i in range(6)]
+        for case_id, members, out_dir, _ in tasks:
+            assert out_dir == str(out)
+            assert members == tuple(
+                (Path(m).name, tuple(Path(m) / f"{case_id}_organ{code}.nii.gz" for code in (1, 2)))
+                for m in models
+            )
 
 
 class TestDscAndMatrix:
@@ -327,6 +421,49 @@ class TestCampaignCli:
         assert "in use by another process" in capsys.readouterr().err
         cases = {c["case_id"]: c["status"] for c in json.loads(state.read_text())["cases"]}
         assert cases == {"a": "confirmed", "b": "pending"}
+
+    def test_status_and_stop_check_read_while_locked(self, tmp_path, capsys):
+        from segqa import campaign
+
+        state = tmp_path / "campaign.json"
+        campaign.save_state(campaign.CampaignState(cases=two_pending_cases()), state)
+        with campaign._FileLock(state):
+            assert main(["campaign", "status", "--state", str(state)]) == 0
+            assert main(["campaign", "stop-check", "--state", str(state)]) == 0
+            assert main(["campaign", "mark", "--state", str(state), "--case", "a",
+                         "--status", "revised"]) == 1
+        out = capsys.readouterr().out
+        assert "pending: 2" in out and out.strip().endswith("false")
+
+    def test_sidecar_case_id_cannot_escape(self, blob_corpus, monkeypatch, capsys):
+        from segqa import corpus
+
+        root, _ = blob_corpus
+        out = root / "deep" / "attention"
+        assert main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
+                     "--out", str(out)]) == 0
+        for labels in ("pseudo", "truth"):
+            write_labels(root / labels / "case1.nii.gz", np.zeros((6, 6, 6)))
+        # readable files where the escaping id points, were it joined onto --attention
+        shutil.copyfile(out / "case1_attention_organ1.nii.gz",
+                        root / "escape_attention_organ1.nii.gz")
+        sizes = json.loads((out / "case1_sizes.json").read_text())
+        evil = out / "evil_sizes.json"
+        evil.write_text(json.dumps(dict(sizes, case_id="../../escape")))
+        before = sorted(p.relative_to(root) for p in root.rglob("*"))
+        read = []
+        real_read = corpus.read_volume
+        monkeypatch.setattr(corpus, "read_volume", lambda p: read.append(p) or real_read(p))
+
+        capsys.readouterr()
+        assert main(["evaluate", "--attention", str(out), "--pseudo", str(root / "pseudo"),
+                     "--truth", str(root / "truth"), "--out", str(out / "metrics.json")]) == 1
+        assert str(evil) in capsys.readouterr().err
+        state = out / "campaign.json"
+        assert main(["campaign", "init", "--state", str(state), "--attention", str(out)]) == 1
+        assert str(evil) in capsys.readouterr().err
+        assert read == []
+        assert sorted(p.relative_to(root) for p in root.rglob("*")) == before
 
     def test_mark_unknown_case_fails(self, blob_corpus):
         root, _ = blob_corpus

@@ -9,8 +9,10 @@ from segqa.corpus import (
     find_channel_volumes,
     find_label_volumes,
     load_prediction_set,
+    read_sizes,
+    write_csv,
 )
-from segqa.nifti import read_volume, write_volume
+from segqa.nifti import open_replacing, read_volume, write_volume
 from segqa.volume import VolumeGrid
 
 
@@ -69,7 +71,7 @@ class TestManifestOverride:
         )
         found = find_channel_volumes(model)
         assert list(found) == ["caseX"]
-        preds = load_prediction_set("caseX", [model])
+        preds = load_prediction_set("caseX", discover_cases([model]).members["caseX"])
         assert preds.num_organs == 2
         assert float(preds.members[0].channels[1].values[0, 0, 0]) == 0.75
 
@@ -108,7 +110,8 @@ class TestLoad:
     def test_prediction_set_model_ids_from_dir_names(self, tmp_path):
         for model in ("alpha", "beta"):
             write_float(tmp_path / model / "c_organ1.nii.gz", np.zeros((2, 2, 2)))
-        preds = load_prediction_set("c", [tmp_path / "alpha", tmp_path / "beta"])
+        index = discover_cases([tmp_path / "alpha", tmp_path / "beta"])
+        preds = load_prediction_set("c", index.members["c"])
         assert [m.model_id for m in preds.members] == ["alpha", "beta"]
 
     def test_nan_channel_names_case_and_file(self, tmp_path):
@@ -116,8 +119,9 @@ class TestLoad:
         bad = np.zeros((2, 2, 2))
         bad[1, 1, 1] = np.nan
         write_float(tmp_path / "beta" / "c_organ1.nii.gz", bad)
+        index = discover_cases([tmp_path / "alpha", tmp_path / "beta"])
         with pytest.raises(CorpusError) as exc:
-            load_prediction_set("c", [tmp_path / "alpha", tmp_path / "beta"])
+            load_prediction_set("c", index.members["c"])
         message = str(exc.value)
         assert "case 'c'" in message and "model 'beta', organ 1" in message
         assert str(tmp_path / "beta" / "c_organ1.nii.gz") in message
@@ -128,3 +132,84 @@ class TestLoad:
         with open(path, "rb") as f:
             grid = read_volume(f)
         assert grid.values.sum() == 8
+
+
+class TestIndex:
+    def test_index_holds_each_case_channels_in_code_order(self, tmp_path):
+        dirs = [tmp_path / "beta", tmp_path / "alpha"]
+        for model in dirs:
+            for case in ("c2", "c1"):
+                for code in range(10, 0, -1):  # c_organ10 sorts before c_organ2 by name
+                    write_float(model / f"{case}_organ{code}.nii.gz", np.zeros((2, 2, 2)))
+        index = discover_cases(dirs)
+        assert index.case_ids == ["c1", "c2"]
+        assert index.organ_count == 10
+        assert list(index.members) == ["c1", "c2"]
+        assert index.members["c2"] == tuple(
+            (d.name, tuple(d / f"c2_organ{code}.nii.gz" for code in range(1, 11))) for d in dirs
+        )
+
+    def test_load_lists_no_directory(self, tmp_path, monkeypatch):
+        from segqa import corpus
+
+        for model in ("alpha", "beta"):
+            for code in (1, 2):
+                write_float(tmp_path / model / f"c_organ{code}.nii.gz", np.full((2, 2, 2), code / 4))
+        index = discover_cases([tmp_path / "alpha", tmp_path / "beta"])
+        monkeypatch.setattr(corpus, "find_channel_volumes", lambda d: pytest.fail(f"listed {d}"))
+        preds = load_prediction_set("c", index.members["c"])
+        assert [m.model_id for m in preds.members] == ["alpha", "beta"]
+        assert [float(ch.values[0, 0, 0]) for ch in preds.members[1].channels] == [0.25, 0.5]
+
+
+class TestCaseIdRule:
+    @pytest.mark.parametrize("name", ["...nii.gz", "...nii", "a..b.nii.gz"])
+    def test_label_file_name(self, tmp_path, name):
+        write_volume(VolumeGrid(np.zeros((2, 2, 2), dtype=np.uint8)), tmp_path / "ok.nii.gz")
+        write_volume(VolumeGrid(np.zeros((2, 2, 2), dtype=np.uint8)), tmp_path / name)
+        with pytest.raises(CorpusError) as exc:
+            find_label_volumes(tmp_path)
+        assert str(tmp_path / name) in str(exc.value)
+
+    @pytest.mark.parametrize("name", [".._organ1.nii.gz", "a..b_organ1.nii"])
+    def test_channel_file_name(self, tmp_path, name):
+        write_float(tmp_path / "m" / "ok_organ1.nii.gz", np.zeros((2, 2, 2)))
+        write_float(tmp_path / "m" / name, np.zeros((2, 2, 2)))
+        with pytest.raises(CorpusError) as exc:
+            find_channel_volumes(tmp_path / "m")
+        assert str(tmp_path / "m" / name) in str(exc.value)
+
+    @pytest.mark.parametrize("case_id", ["../../escape", "sub/case", "win\\case", "..", "", 7, None])
+    def test_sidecar_case_id(self, tmp_path, case_id):
+        (tmp_path / "ok_sizes.json").write_text(json.dumps({"case_id": "ok"}))
+        bad = tmp_path / "bad_sizes.json"
+        bad.write_text(json.dumps({"case_id": case_id}))
+        with pytest.raises(CorpusError) as exc:
+            read_sizes(tmp_path)
+        assert str(bad) in str(exc.value) and repr(case_id) in str(exc.value)
+
+
+class TestWritesByRename:
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "ranking.csv"
+        write_csv(path, ["rank"], [[1]])
+        before = path.read_bytes()
+
+        def rows_then_crash():
+            yield [2]
+            raise RuntimeError("killed part-way")
+
+        with pytest.raises(RuntimeError):
+            write_csv(path, ["rank"], rows_then_crash())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ranking.csv"]
+
+    @pytest.mark.parametrize("name", ["c_organ1.nii.gz", "c.nii", "c_sizes.json"])
+    def test_temp_file_is_invisible_to_discovery(self, tmp_path, name):
+        with open_replacing(tmp_path / name) as f:
+            f.write(b"half a file")
+            assert len(list(tmp_path.iterdir())) == 1
+            for discover in (find_channel_volumes, find_label_volumes, read_sizes):
+                with pytest.raises(CorpusError, match="found"):
+                    discover(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [name]

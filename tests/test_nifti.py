@@ -192,3 +192,22 @@ class TestFuzz:
                 read_volume(bytes(mutated))
             except NiftiFormatError:
                 pass
+
+
+class TestWriteByRename:
+    def test_failed_write_keeps_previous_volume(self, tmp_path, monkeypatch):
+        path = tmp_path / "case_organ1.nii.gz"
+        write_volume(make_grid(np.zeros((4, 4, 4)), dtype=np.uint8), path)
+        before = path.read_bytes()
+        real_write = gzip.GzipFile.write
+
+        def half_then_fail(self, data):
+            real_write(self, bytes(data)[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(gzip.GzipFile, "write", half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_volume(make_grid(np.ones((4, 4, 4)), dtype=np.uint8), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
