@@ -73,11 +73,14 @@ def cmd_detect(args: argparse.Namespace) -> int:
     model_dirs = [str(d) for d in args.preds]
     if len(model_dirs) < 2:
         raise ValueError("detect: need at least two --preds model directories")
+    if args.jobs < 1:
+        raise ValueError(f"detect: --jobs must be at least 1, got {args.jobs}")
     index = corpus.discover_cases(model_dirs)
     Path(args.out).mkdir(parents=True, exist_ok=True)
     tasks = [(cid, index.members[cid], str(args.out), cfg) for cid in index.case_ids]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
             done = pool.map(_detect_one, tasks)
     else:
         done = [_detect_one(t) for t in tasks]

@@ -89,10 +89,13 @@ def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, Path]]:
             raise CorpusError(f"{manifest}: manifest lists no cases")
         return out
 
+    # Names sort as str: the order of sorted(iterdir()) within one directory,
+    # without comparing Path objects.
     found: dict[str, dict[int, Path]] = {}
-    for path in sorted(model_dir.iterdir()):
-        m = CHANNEL_RE.match(path.name)
+    for name in sorted(os.listdir(model_dir)):
+        m = CHANNEL_RE.match(name)
         if m:
+            path = model_dir / name
             _check_case_id(m.group("case"), path)
             found.setdefault(m.group("case"), {})[int(m.group("code"))] = path
     if not found:
@@ -106,11 +109,12 @@ def find_label_volumes(directory: str | Path) -> dict[str, Path]:
     if not directory.is_dir():
         raise CorpusError(f"{directory}: not a directory")
     found: dict[str, Path] = {}
-    for path in sorted(directory.iterdir()):
-        if CHANNEL_RE.match(path.name):
+    for name in sorted(os.listdir(directory)):
+        if CHANNEL_RE.match(name):
             continue
-        m = LABEL_RE.match(path.name)
+        m = LABEL_RE.match(name)
         if m:
+            path = directory / name
             _check_case_id(m.group("case"), path)
             found[m.group("case")] = path
     if not found:

@@ -14,6 +14,14 @@ The attention map is the union of the thresholded criterion masks, with
 connected components below a configurable voxel count dropped as speckle.
 All thresholds default to round values because no canonical setting exists;
 they are surfaced on the command line and echoed into every output.
+
+Each organ is reduced only over its support box (:func:`support_box`), the
+smallest box holding every voxel where any member is nonzero; results outside
+it are written as zero. This is exact because every threshold is > 0
+(:class:`DetectionConfig`): where all K members are 0 (or -0.0) the mean is
+0, the std is 0 and the entropy is 0, so no criterion fires and the organ
+does not pass the binarize threshold. Per-organ work therefore scales with
+the organ's nonzero support, not with the volume.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .volume import (
     VolumeGrid,
     physical_volume,
     stable_mean_std,
+    support_box,
 )
 
 
@@ -124,11 +133,12 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
     """Union the three criterion masks for one case into an attention map.
 
     Per organ, the K member channels are reduced once to their mean and std
-    (:func:`stable_mean_std`). A voxel enters the union if the std or the
-    entropy of the mean passes its threshold; overlap voxels (two or more
-    organs whose mean passes the binarize threshold) enter unconditionally. A
-    per-organ sub-mask additionally claims overlap voxels where that organ's
-    mean passes the binarize threshold.
+    (:func:`stable_mean_std`), over the organ's support box only. A voxel
+    enters the union if the std or the entropy of the mean passes its
+    threshold; overlap voxels (two or more organs whose mean passes the
+    binarize threshold) enter unconditionally. A per-organ sub-mask
+    additionally claims overlap voxels where that organ's mean passes the
+    binarize threshold.
     """
     cfg = cfg or DetectionConfig()
     if preds.num_members < 2:
@@ -141,20 +151,21 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
     inconsistent_any = np.zeros(dims, dtype=bool)
     uncertain_any = np.zeros(dims, dtype=bool)
     pass_count = np.zeros(dims, dtype=np.int32)
-    organ_parts: list[np.ndarray] = []
-    organ_passes: list[np.ndarray] = []
+    # Per organ: its support box and, inside it, the criterion part and passes.
+    organs: list[tuple[tuple[slice, ...], np.ndarray, np.ndarray]] = []
 
     for c in range(preds.num_organs):
-        mean, std = stable_mean_std([m.channels[c].values for m in preds.members])
+        channels = [m.channels[c].values for m in preds.members]
+        box = support_box(channels)
+        mean, std = stable_mean_std([ch[box] for ch in channels])
         inconsistent = std >= cfg.std_threshold
         uncertain = binary_entropy(mean) >= cfg.entropy_threshold
         passes = mean >= cfg.binarize_threshold
 
-        inconsistent_any |= inconsistent
-        uncertain_any |= uncertain
-        pass_count += passes
-        organ_parts.append(inconsistent | uncertain)
-        organ_passes.append(passes)
+        inconsistent_any[box] |= inconsistent
+        uncertain_any[box] |= uncertain
+        pass_count[box] += passes
+        organs.append((box, inconsistent | uncertain, passes))
 
     overlap = pass_count >= 2
     union = inconsistent_any | uncertain_any | overlap
@@ -163,14 +174,15 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
     if cfg.min_component_voxels > 1:
         union_grid = regions.remove_small_components(union_grid, cfg.min_component_voxels)
 
-    per_organ = tuple(
-        ref.with_values((organ_parts[c] | (overlap & organ_passes[c])).astype(np.uint8))
-        for c in range(preds.num_organs)
-    )
+    per_organ = []
+    for box, part, passes in organs:
+        mask = np.zeros(dims, dtype=np.uint8)
+        mask[box] = part | (overlap[box] & passes)
+        per_organ.append(ref.with_values(mask))
     return AttentionMap(
         case_id=preds.case_id,
         union_mask=union_grid,
-        per_organ_masks=per_organ,
+        per_organ_masks=tuple(per_organ),
         source_masks=CriterionMasks(
             inconsistency=ref.with_values(inconsistent_any.astype(np.uint8)),
             uncertainty=ref.with_values(uncertain_any.astype(np.uint8)),

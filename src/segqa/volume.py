@@ -313,6 +313,27 @@ def soft_from_labels(label: LabelVolume) -> tuple[VolumeGrid, ...]:
     )
 
 
+def support_box(arrays: Sequence[np.ndarray]) -> tuple[slice, ...]:
+    """Smallest box holding every voxel where any of the arrays is ``!= 0``.
+
+    -0.0 counts as zero. When no voxel is nonzero the box is empty (every
+    slice has length 0), so slicing with it still works.
+    """
+    nonzero = arrays[0] != 0
+    for a in arrays[1:]:
+        nonzero |= a != 0
+    # The mask's projection onto each axis. Reducing over x first keeps both
+    # whole-volume passes contiguous; ndimage.find_objects is ~7x slower here.
+    yz = nonzero.any(axis=0)
+    box = []
+    for hits in (nonzero.any(axis=(1, 2)), yz.any(axis=1), yz.any(axis=0)):
+        idx = np.flatnonzero(hits)
+        if not idx.size:
+            return (slice(0, 0),) * 3
+        box.append(slice(int(idx[0]), int(idx[-1]) + 1))
+    return tuple(box)
+
+
 def _order_key(bits: np.ndarray) -> np.ndarray:
     """Map float bit patterns (viewed as signed ints) to keys that order like the values.
 

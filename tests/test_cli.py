@@ -192,6 +192,76 @@ class TestDetectRankSelect:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class TestDetectJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, blob_corpus, capsys, jobs):
+        root, _ = blob_corpus
+        args = ["detect", "--preds", str(root / "modelA"), str(root / "modelB")]
+        assert main([*args, "--out", str(root / "att"), "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (root / "att").exists()
+
+    @pytest.mark.parametrize("jobs, expected", [(1, []), (2, [2]), (8, [6])])
+    def test_pool_never_larger_than_the_case_count(self, six_case_corpus, monkeypatch, tmp_path,
+                                                    jobs, expected):
+        import multiprocessing
+
+        sizes = []
+
+        class SerialPool:  # records the requested size and starts no process
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        _, models = six_case_corpus
+        assert main(["detect", "--preds", *models, "--out", str(tmp_path / "att"),
+                     "--jobs", str(jobs)]) == 0
+        assert sizes == expected
+        assert len(list((tmp_path / "att").glob("*_sizes.json"))) == 6
+
+
+class TestSupportBoxEndToEnd:
+    def test_zero_background_gives_the_bytes_of_full_support(self, tmp_path):
+        """Outputs equal those of a copy with no exact zero, whose support box is the volume."""
+        rng = np.random.default_rng(11)
+        dims = (9, 8, 6)
+        for case in ("a", "b"):
+            for model in MODELS:
+                organs = [np.zeros(dims, np.float32) for _ in range(3)]
+                organs[0][1:5, 2:6, 1:4] = rng.integers(0, 11, (4, 4, 3)) / 10
+                organs[1][4:8, 1:7, 2:] = rng.integers(0, 11, (4, 6, 4)) / 10  # overlaps organ 1
+                if case == "b" and model == "m0":  # organ 3 is empty in case a
+                    organs[2][-1, -1, -1] = 0.8
+                for code, values in enumerate(organs, start=1):
+                    write_channel(tmp_path / "zero" / model / f"{case}_organ{code}.nii.gz", values)
+                    write_channel(tmp_path / "full" / model / f"{case}_organ{code}.nii.gz",
+                                  np.where(values == 0, np.float32(1e-30), values))
+        outputs = {}
+        for variant in ("zero", "full"):
+            root = tmp_path / variant
+            models = [str(root / m) for m in MODELS]
+            assert main(["detect", "--preds", *models, "--out", str(root / "att")]) == 0
+            assert main(["ensemble", "--preds", *models, "--out", str(root / "ens")]) == 0
+            outputs[variant] = {
+                p.relative_to(root).as_posix(): p.read_bytes()
+                for d in ("att", "ens") for p in sorted((root / d).iterdir())
+            }
+        assert len(outputs["zero"]) == 2 * (1 + 3 + 1) + 2 * 2
+        assert outputs["zero"] == outputs["full"]
+        organ3_mm3 = [json.loads(outputs["zero"][f"att/{case}_sizes.json"])["per_organ_mm3"]["organ3"]
+                      for case in ("a", "b")]
+        assert organ3_mm3 == [0.0, 1.0]
+
+
 class TestCorpusIndex:
     @pytest.mark.parametrize("command", ["detect", "ensemble", "simulate"])
     def test_each_model_directory_listed_once(self, six_case_corpus, monkeypatch, tmp_path,

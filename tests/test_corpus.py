@@ -55,6 +55,45 @@ class TestDiscovery:
             find_channel_volumes(tmp_path / "m")
 
 
+class TestListingOrder:
+    """Listings sort names as str, in the order sorted(Path.iterdir()) gives them."""
+
+    NAMES = ("case9", "case10", "a.b", "a", "A", "a-b", "B-1", "a_b")
+
+    def test_channel_order_unchanged(self, tmp_path):
+        from segqa.corpus import CHANNEL_RE
+
+        for case in self.NAMES:
+            for code in (10, 2, 1):
+                for suffix in (".nii.gz", ".nii"):  # both exist: the later name wins
+                    (tmp_path / f"{case}_organ{code}{suffix}").touch()
+        expected = {}
+        for path in sorted(tmp_path.iterdir()):
+            m = CHANNEL_RE.match(path.name)
+            if m:
+                expected.setdefault(m.group("case"), {})[int(m.group("code"))] = path
+        found = find_channel_volumes(tmp_path)
+        assert [(c, list(v.items())) for c, v in found.items()] == [
+            (c, list(v.items())) for c, v in expected.items()
+        ]
+        assert found["a.b"][1].name == "a.b_organ1.nii.gz"
+
+    def test_label_order_unchanged(self, tmp_path):
+        from segqa.corpus import CHANNEL_RE, LABEL_RE
+
+        for case in self.NAMES:
+            for name in (f"{case}.nii", f"{case}.nii.gz", f"{case}_organ1.nii.gz"):
+                (tmp_path / name).touch()
+        expected = {}
+        for path in sorted(tmp_path.iterdir()):
+            m = LABEL_RE.match(path.name)
+            if m and not CHANNEL_RE.match(path.name):
+                expected[m.group("case")] = path
+        found = find_label_volumes(tmp_path)
+        assert list(found.items()) == list(expected.items())
+        assert found["case10"].name == "case10.nii.gz"
+
+
 class TestManifestOverride:
     def test_manifest_maps_arbitrary_names(self, tmp_path):
         model = tmp_path / "model"

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grids import float_grid, prediction_set, random_prediction_set
-from oracles import attention_union_oracle, sorted_stack_mean_std, sorted_stack_reduction
+from grids import SUPPORT_CASES, float_grid, prediction_set, random_prediction_set, support_case
+from oracles import (
+    attention_union_oracle,
+    flood_components,
+    sorted_stack_mean_std,
+    sorted_stack_reduction,
+)
 from segqa.detect import (
     DetectionConfig,
     InsufficientMembersError,
@@ -221,6 +226,60 @@ class TestBuildAttention:
 class TestReductionOracle:
     """build_attention and ensemble_label against the sort-based reference."""
 
+    @staticmethod
+    def assert_attention_matches(amap, member_channels, cfg):
+        """Every mask and size of amap equals the oracle's; returns the oracle."""
+        ref = sorted_stack_reduction(member_channels, cfg)
+        union = ref["union"]
+        if cfg.min_component_voxels > 1:
+            union = np.zeros_like(union)
+            for blob in flood_components(ref["union"], 26):
+                if len(blob) >= cfg.min_component_voxels:
+                    union[tuple(np.array(sorted(blob)).T)] = True
+        assert np.array_equal(amap.union_mask.values != 0, union)
+        assert amap.total_mm3 == float(union.sum())
+        for key in ("inconsistency", "uncertainty", "overlap"):
+            assert np.array_equal(getattr(amap.source_masks, key).values != 0, ref[key])
+        for c, expected in enumerate(ref["per_organ"]):
+            assert np.array_equal(amap.per_organ_masks[c].values != 0, expected)
+            assert amap.per_organ_mm3[c] == float(expected.sum())
+        return ref
+
+    @pytest.mark.parametrize("min_component", [0, 3])
+    @pytest.mark.parametrize("name", SUPPORT_CASES)
+    def test_support_shapes_match_oracle(self, rng, name, min_component):
+        member_channels = support_case(name, rng)
+        cfg = DetectionConfig(min_component_voxels=min_component)
+        amap = build_attention(prediction_set("c", member_channels), cfg)
+        self.assert_attention_matches(amap, member_channels, cfg)
+
+    def test_overlap_spans_support_boxes(self, rng):
+        member_channels = support_case("overlapping_boxes", rng)
+        amap = build_attention(prediction_set("c", member_channels))
+        overlap = amap.source_masks.overlap.values != 0
+        assert overlap[2:4, :, :2].all()  # where the boxes of organs 1 and 2 intersect
+        assert amap.organ_mask(1).values[2:4, :, :2].all()
+        assert amap.organ_mask(2).values[2:4, :, :2].all()
+
+    def test_reduction_runs_over_the_support_box(self, monkeypatch):
+        from segqa import detect
+
+        shapes = []
+
+        def recording(arrays):
+            shapes.append({a.shape for a in arrays})
+            return stable_mean_std(arrays)
+
+        monkeypatch.setattr(detect, "stable_mean_std", recording)
+        organ1 = [np.zeros((8, 7, 6), np.float32) for _ in range(2)]
+        organ1[0][2:5, 1, 4] = 0.7
+        organ1[1][3, 2, 5] = -0.0  # -0.0 lies outside the support
+        organ1[1][4, 2, 3] = 1.0
+        organ2 = np.zeros((8, 7, 6), np.float32)
+        amap = build_attention(prediction_set("c", [[organ1[0], organ2], [organ1[1], organ2]]))
+        assert shapes == [{(3, 2, 2)}, {(0, 0, 0)}]
+        assert amap.per_organ_mm3 == (4.0, 0.0)
+
     # Member values of organ 1 whose float64 mean lies just below 0.3 while the
     # float32 mean rounds up to float32(0.3).
     EDGE = {2: [0.55, 0.049999985843896866], 3: [0.5, 0.3, 0.09999998658895493]}
@@ -247,14 +306,7 @@ class TestReductionOracle:
 
         ps = prediction_set("c", member_channels)
         amap, labels = build_attention(ps, cfg), ensemble_label(ps, 0.3)
-        ref = sorted_stack_reduction(member_channels, cfg)
-        assert np.array_equal(amap.union_mask.values != 0, ref["union"])
-        for key in ("inconsistency", "uncertainty", "overlap"):
-            assert np.array_equal(getattr(amap.source_masks, key).values != 0, ref[key])
-        for c in range(3):
-            assert np.array_equal(amap.per_organ_masks[c].values != 0, ref["per_organ"][c])
-            assert amap.per_organ_mm3[c] == float(ref["per_organ"][c].sum())
-        assert amap.total_mm3 == float(ref["union"].sum())
+        ref = self.assert_attention_matches(amap, member_channels, cfg)
         assert labels.grid.values.dtype == np.uint8
         assert np.array_equal(labels.grid.values, ref["labels"])
 

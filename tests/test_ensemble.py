@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from grids import prediction_set, random_prediction_set
+from grids import SUPPORT_CASES, prediction_set, random_prediction_set, support_case
+from oracles import sorted_stack_reduction
+from segqa.detect import DetectionConfig
 from segqa.ensemble import ensemble_label
 from segqa.volume import labels_from_soft, stable_mean
 
@@ -66,3 +68,34 @@ class TestEnsembleLabel:
         ps = prediction_set("c", [channels])
         expected = labels_from_soft(list(ps.members[0].channels), 0.5)
         assert np.array_equal(ensemble_label(ps, 0.5).grid.values, expected.grid.values)
+
+
+class TestSupportBox:
+    """ensemble_label reduces each organ over its support box only."""
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("name", SUPPORT_CASES)
+    def test_labels_match_sorted_stack_oracle(self, rng, name, members):
+        member_channels = support_case(name, rng, members)
+        ref = sorted_stack_reduction(member_channels, DetectionConfig())
+        lv = ensemble_label(prediction_set("c", member_channels), 0.5)
+        assert np.array_equal(lv.grid.values, ref["labels"])
+
+    def test_mean_runs_over_the_support_box(self, monkeypatch):
+        from segqa import ensemble
+
+        shapes = []
+
+        def recording(arrays):
+            shapes.append({a.shape for a in arrays})
+            return stable_mean(arrays)
+
+        monkeypatch.setattr(ensemble, "stable_mean", recording)
+        organ1 = np.zeros((5, 6, 7), np.float32)
+        organ1[-1, -1, -1] = 0.8
+        organ2 = np.zeros((5, 6, 7), np.float32)
+        organ2[0, 1:3, 2:6] = 0.6
+        organ2[3, 0, 0] = -0.0
+        lv = ensemble_label(prediction_set("c", [[organ1, organ2], [organ1, np.zeros_like(organ2)]]))
+        assert shapes == [{(1, 1, 1)}, {(1, 2, 4)}]
+        assert lv.grid.values[-1, -1, -1] == 1 and not lv.grid.values[0].any()

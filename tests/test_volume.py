@@ -21,6 +21,7 @@ from segqa.volume import (
     soft_from_labels,
     stable_mean,
     stable_mean_std,
+    support_box,
 )
 
 
@@ -253,3 +254,18 @@ class TestStableReductions:
         channels = soft_from_labels(lv)
         back = labels_from_soft(list(channels), 0.5, lv.labels)
         assert np.array_equal(back.grid.values, values)
+
+
+class TestSupportBox:
+    def test_box_of_any_member_nonzero(self):
+        a = np.zeros((4, 5, 6), np.float32)
+        a[1, 2, 3] = 0.5
+        b = np.zeros_like(a)
+        b[2, 4, 0] = 1.0
+        b[3, 0, 5] = -0.0  # -0.0 is zero
+        assert support_box([a, b]) == (slice(1, 3), slice(2, 5), slice(0, 4))
+
+    def test_no_nonzero_voxel_gives_an_empty_box(self):
+        a = np.full((3, 3, 3), -0.0, np.float32)
+        box = support_box([a, np.zeros_like(a)])
+        assert a[box].shape == (0, 0, 0)
