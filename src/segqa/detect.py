@@ -21,7 +21,8 @@ it are written as zero. This is exact because every threshold is > 0
 (:class:`DetectionConfig`): where all K members are 0 (or -0.0) the mean is
 0, the std is 0 and the entropy is 0, so no criterion fires and the organ
 does not pass the binarize threshold. Per-organ work therefore scales with
-the organ's nonzero support, not with the volume.
+the organ's nonzero support, not with the volume; channels with no exact
+zero get a box the size of the volume.
 """
 
 from __future__ import annotations

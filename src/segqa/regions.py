@@ -24,6 +24,7 @@ from .volume import (
     VolumeGrid,
     _require_binary,
     require_aligned,
+    support_box,
 )
 
 CONNECTIVITIES = (6, 18, 26)
@@ -146,11 +147,9 @@ def componentwise_metrics(
     err = _require_binary(benchmark_error, "componentwise_metrics") != 0
 
     # Cropping to the box of att | err keeps every component; the counts
-    # below do not depend on id order.
-    boxes = ndimage.find_objects((att | err).view(np.uint8))
-    if not boxes:
-        return None, None, ConfusionCounts(tp=0, fp=0, fn=0)
-    att, err = att[boxes[0]], err[boxes[0]]
+    # below do not depend on id order. An empty box labels no component.
+    box = support_box([att, err])
+    att, err = att[box], err[box]
     att_labels, n_att = ndimage.label(att, structure)
     err_labels, n_err = ndimage.label(err, structure)
     both = att & err
