@@ -28,7 +28,6 @@ from .detect import (
 from .ensemble import ensemble_label
 from .nifti import NiftiFormatError, read_volume, write_volume
 from .regions import (
-    Component,
     ConfusionCounts,
     MetricsReport,
     componentwise_metrics,
@@ -45,7 +44,6 @@ from .volume import (
     PredictionSet,
     SoftPrediction,
     VolumeGrid,
-    binarize,
     labels_from_soft,
     physical_volume,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "AttentionMap",
     "CampaignState",
     "CaseEntry",
-    "Component",
     "ConfusionCounts",
     "DetectionConfig",
     "LabelVolume",
@@ -69,7 +66,6 @@ __all__ = [
     "SoftPrediction",
     "VolumeGrid",
     "WorkloadEstimate",
-    "binarize",
     "binary_entropy",
     "build_attention",
     "componentwise_metrics",

@@ -4,8 +4,8 @@ Cases are ranked by total attention-map size so the annotator always works
 on the volume most likely to contain errors. A campaign loop is: detect,
 rank, revise the cases above a size cutoff, refresh predictions, repeat; it
 stops once the top-ranked case is confirmed as needing no further revision.
-Model refreshing is out of process - the loop runner consumes caller-supplied
-predictions per loop index, and for desk-scale simulation can recycle the
+Model refreshing is out of process - the loop runner takes caller-supplied
+loop-0 predictions and, for desk-scale simulation, recycles each loop's
 revised labels as the next loop's predictions.
 
 A simulated annotator (perfect within the attended region, blind outside it)
@@ -53,7 +53,7 @@ class IllegalTransitionError(CampaignError):
 
 
 class MissingPredictionsError(CampaignError):
-    """run_loop was asked for a loop with no prediction source."""
+    """run_loop was given no loop-0 predictions."""
 
 
 class StateFileLockedError(CampaignError):
@@ -359,17 +359,10 @@ def simulate_revision(
 
 @dataclass(frozen=True)
 class LoopPolicy:
-    """Knobs for the loop runner.
-
-    When reuse_revised_labels is set and no predictions exist for a loop,
-    the previous loop's revised labels are recycled as hard predictions
-    (replicated to the original member count), exercising the full protocol
-    without a training system attached.
-    """
+    """Knobs for the loop runner: the selection cutoff and the loop budget."""
 
     size_threshold_mm3: float = 0.0
     max_loops: int = 2
-    reuse_revised_labels: bool = True
 
     def __post_init__(self) -> None:
         if self.size_threshold_mm3 < 0:
@@ -398,9 +391,6 @@ class LoopReport:
     cases: tuple[CaseLoopResult, ...]
 
 
-PredictionSource = Callable[[int], Mapping[str, PredictionSet] | None]
-
-
 def _labels_as_predictions(
     case_id: str, label: LabelVolume, members: int, loop_index: int
 ) -> PredictionSet:
@@ -415,39 +405,31 @@ def _labels_as_predictions(
 
 
 def run_loop(
-    predictions: Mapping[int, Mapping[str, PredictionSet]] | PredictionSource,
+    loop0: Mapping[str, PredictionSet],
     truths: Mapping[str, LabelVolume],
     cfg: DetectionConfig | None = None,
     policy: LoopPolicy | None = None,
 ) -> list[LoopReport]:
     """Run the detect / rank / select / revise loop over a fixed corpus.
 
-    `predictions` maps a loop index to per-case prediction sets (a dict or a
-    callable returning None for loops it cannot serve). Loop 0 must be
-    present. The loop stops when the simulated annotator confirms the
-    top-ranked case (its attention size is at or below the cutoff) or when
-    the loop budget runs out. Residual error is measured against truth after
-    the selected cases are revised.
+    `loop0` maps each case id to its loop-0 prediction set. Every later loop
+    recycles the previous loop's revised labels as hard predictions,
+    replicated to the loop-0 member count, which exercises the full protocol
+    without a training system attached. The loop stops when the simulated
+    annotator confirms the top-ranked case (its attention size is at or below
+    the cutoff) or when the loop budget runs out. Residual error is measured
+    against truth after the selected cases are revised.
     """
     cfg = cfg or DetectionConfig()
     policy = policy or LoopPolicy()
-
-    if callable(predictions):
-        source: PredictionSource = predictions
-    else:
-        table = dict(predictions)
-        source = table.get
-
-    current = source(0)
-    if not current:
+    if not loop0:
         raise MissingPredictionsError("no predictions for loop 0")
 
+    current = loop0
     member_count = next(iter(current.values())).num_members
     reports: list[LoopReport] = []
 
     for loop_index in range(policy.max_loops):
-        if current is None:
-            raise MissingPredictionsError(f"no predictions for loop {loop_index}")
         case_ids = sorted(current)
         if sorted(truths) != case_ids:
             missing = sorted(set(case_ids) ^ set(truths))
@@ -508,14 +490,10 @@ def run_loop(
         if stopped or loop_index + 1 >= policy.max_loops:
             break
 
-        current = source(loop_index + 1)
-        if current is None:
-            if not policy.reuse_revised_labels:
-                raise MissingPredictionsError(f"no predictions for loop {loop_index + 1}")
-            current = {
-                cid: _labels_as_predictions(cid, revised[cid], member_count, loop_index + 1)
-                for cid in case_ids
-            }
+        current = {
+            cid: _labels_as_predictions(cid, revised[cid], member_count, loop_index + 1)
+            for cid in case_ids
+        }
     return reports
 
 

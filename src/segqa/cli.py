@@ -189,11 +189,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_mask(path: str, organ: int | None) -> VolumeGrid:
+def _read_labels(path: str | Path) -> VolumeGrid:
     grid = read_volume(path)
-    if organ is not None:
-        return grid.with_values((grid.values == organ).astype(np.uint8))
-    return grid.with_values((grid.values != 0).astype(np.uint8))
+    if grid.values.dtype == np.dtype(np.float32):
+        raise corpus.CorpusError(f"{path}: label volumes must be integer-kind")
+    return grid
+
+
+def _load_mask(path: str | Path, organ: int | None) -> VolumeGrid:
+    """Binary mask of one organ code, or of any nonzero label, from an integer volume."""
+    if organ is not None and organ < 1:
+        raise ValueError(f"organ code must be >= 1, got {organ}")
+    grid = _read_labels(path)
+    hits = grid.values != 0 if organ is None else grid.values == organ
+    return grid.with_values(hits.astype(np.uint8))
 
 
 def cmd_dsc(args: argparse.Namespace) -> int:
@@ -210,9 +219,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     names = []
     labelings = []
     for path in args.inputs:
-        grid = read_volume(path)
-        if grid.values.dtype == np.dtype(np.float32):
-            raise corpus.CorpusError(f"{path}: label volumes must be integer-kind")
+        grid = _read_labels(path)
         count = max(int(grid.values.max()), args.organ)
         labelings.append(LabelVolume(grid, OrganLabelMap.for_channel_count(max(count, 1))))
         name = Path(path).name
@@ -234,24 +241,32 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ensemble_one(
+    case_id: str, members: corpus.CaseChannels, labels: OrganLabelMap, out_dir: Path,
+    threshold: float,
+) -> None:
+    # A function of its own, so one case's channels are freed before the next loads.
+    preds = corpus.load_prediction_set(case_id, members)
+    label = ensemble_label(preds, threshold, labels)
+    write_volume(label.grid, out_dir / f"{case_id}.nii.gz")
+    corpus.write_json(
+        out_dir / f"{case_id}_ensemble.json",
+        {
+            "case_id": case_id,
+            "model_ids": [m.model_id for m in preds.members],
+            "binarize_threshold": threshold,
+            "organ_names": list(labels.names),
+        },
+    )
+
+
 def cmd_ensemble(args: argparse.Namespace) -> int:
     index = corpus.discover_cases([str(d) for d in args.preds])
     labels = OrganLabelMap.for_channel_count(index.organ_count)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for case_id in index.case_ids:
-        preds = corpus.load_prediction_set(case_id, index.members[case_id])
-        label = ensemble_label(preds, args.bin_thresh, labels)
-        write_volume(label.grid, out_dir / f"{case_id}.nii.gz")
-        corpus.write_json(
-            out_dir / f"{case_id}_ensemble.json",
-            {
-                "case_id": case_id,
-                "model_ids": [m.model_id for m in preds.members],
-                "binarize_threshold": args.bin_thresh,
-                "organ_names": list(labels.names),
-            },
-        )
+        _ensemble_one(case_id, index.members[case_id], labels, out_dir, args.bin_thresh)
     print(f"ensemble: wrote {len(index.case_ids)} label volumes to {args.out}")
     return 0
 
@@ -310,12 +325,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     truths = {
         cid: corpus.load_label_volume(truth_files[cid], labels) for cid in index.case_ids
     }
-    policy = camp.LoopPolicy(
-        size_threshold_mm3=args.threshold_mm3,
-        max_loops=args.loops,
-        reuse_revised_labels=True,
-    )
-    reports = camp.run_loop({0: loop0}, truths, cfg, policy)
+    policy = camp.LoopPolicy(size_threshold_mm3=args.threshold_mm3, max_loops=args.loops)
+    reports = camp.run_loop(loop0, truths, cfg, policy)
     corpus.write_json(
         args.out,
         {
@@ -350,12 +361,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_fpscan(args: argparse.Namespace) -> int:
     label_files = corpus.find_label_volumes(args.preds)
-    masks = []
-    for case_id in sorted(label_files):
-        grid = read_volume(label_files[case_id])
-        masks.append(
-            (case_id, grid.with_values((grid.values == args.organ).astype(np.uint8)))
-        )
+    masks = [(cid, _load_mask(label_files[cid], args.organ)) for cid in sorted(label_files)]
     scan = regions.false_positive_scan(masks, connectivity=args.connectivity)
     payload = {
         "organ": args.organ,

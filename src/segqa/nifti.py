@@ -303,20 +303,18 @@ def open_replacing(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]
         raise
 
 
-def write_volume(grid: VolumeGrid, path: str | Path, compress: bool | None = None) -> None:
-    """Write a grid as a single-file NIfTI-1 volume.
+def write_volume(grid: VolumeGrid, path: str | Path) -> None:
+    """Write a grid as a single-file NIfTI-1 volume, gzipped when the path ends in .gz.
 
-    compress=None infers gzip from a .gz suffix. Writes are deterministic
-    (gzip timestamp pinned to zero), so identical grids produce identical
-    bytes. The file is written by rename (see ``open_replacing``).
+    Writes are deterministic (gzip timestamp pinned to zero), so identical
+    grids produce identical bytes. The file is written by rename (see
+    ``open_replacing``).
     """
     path = Path(path)
-    if compress is None:
-        compress = path.suffix == ".gz"
     payload = np.asarray(grid.values, dtype=_DTYPES[_CODES[grid.values.dtype]])
     blob = header_bytes(grid) + b"\x00\x00\x00\x00" + payload.tobytes(order="F")
     with open_replacing(path) as f:
-        if compress:
+        if path.suffix == ".gz":
             # empty filename + zero mtime keep the gzip header byte-stable
             with gzip.GzipFile(filename="", fileobj=f, mode="wb", mtime=0) as gz:
                 gz.write(blob)

@@ -27,24 +27,11 @@ from .volume import (
     support_box,
 )
 
-CONNECTIVITIES = (6, 18, 26)
-
 _STRUCTURES = {
     6: ndimage.generate_binary_structure(3, 1),
     18: ndimage.generate_binary_structure(3, 2),
     26: ndimage.generate_binary_structure(3, 3),
 }
-
-
-@dataclass(frozen=True)
-class Component:
-    """One connected region of a binary mask."""
-
-    id: int
-    voxel_count: int
-    size_mm3: float
-    bbox: tuple[tuple[int, int, int], tuple[int, int, int]]  # inclusive min, max
-    centroid: tuple[float, float, float]  # voxel coordinates
 
 
 @dataclass(frozen=True)
@@ -71,43 +58,14 @@ class MetricsReport:
     provenance: dict[str, object]
 
 
-def _structure(connectivity: int) -> np.ndarray:
-    if connectivity not in CONNECTIVITIES:
-        raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
-    return _STRUCTURES[connectivity]
+def connected_components(mask: VolumeGrid, connectivity: int = 26) -> tuple[np.ndarray, int]:
+    """Label the connected regions of a binary mask: (int32 labels, count).
 
-
-def connected_components(
-    mask: VolumeGrid, connectivity: int = 26
-) -> tuple[list[Component], np.ndarray]:
-    """Label the connected regions of a binary mask.
-
-    Returns the components plus an int32 label volume whose ids match them.
-    Ids are assigned in ascending order of each component's first voxel in
-    x-fastest scan order, which makes the labeling deterministic. The label
-    pass numbers components in order of first visit in C order, where the
-    last axis is fastest; on the transposed view that axis is x, and the
-    connectivity structures are symmetric under transposition, so labeling
-    ``v.T`` and transposing back gives exactly the x-fastest ids.
+    Ids run from 1 to count; their order is not promised.
     """
-    structure = _structure(connectivity)
-    v = _require_binary(mask, "connected_components") != 0
-    labels_t, n = ndimage.label(v.T, structure=structure)
-    labels = labels_t.T
-    counts = np.bincount(labels_t.ravel(), minlength=n + 1)[1:]
-    slices = ndimage.find_objects(labels)
-    centroids = ndimage.center_of_mass(v, labels=labels, index=np.arange(1, n + 1))
-    components = [
-        Component(
-            id=i,
-            voxel_count=int(count),
-            size_mm3=float(count) * mask.voxel_volume_mm3,
-            bbox=(tuple(s.start for s in sl), tuple(s.stop - 1 for s in sl)),
-            centroid=tuple(float(x) for x in centroid),
-        )
-        for i, (count, sl, centroid) in enumerate(zip(counts, slices, centroids), start=1)
-    ]
-    return components, labels
+    if connectivity not in _STRUCTURES:
+        raise ValueError(f"connectivity must be one of {tuple(_STRUCTURES)}, got {connectivity}")
+    return ndimage.label(_require_binary(mask, "connected_components"), _STRUCTURES[connectivity])
 
 
 def remove_small_components(
@@ -116,8 +74,7 @@ def remove_small_components(
     """Drop connected components with fewer than min_voxels voxels."""
     if min_voxels <= 1:
         return mask
-    structure = _structure(connectivity)
-    labels, _ = ndimage.label(_require_binary(mask, "remove_small_components"), structure)
+    labels, _ = connected_components(mask, connectivity)
     keep = np.bincount(labels.ravel()) >= min_voxels
     keep[0] = False
     return mask.with_values(keep[labels].astype(np.uint8))
@@ -142,17 +99,15 @@ def componentwise_metrics(
     benchmark-error voxel. Zero-denominator metrics come back as None.
     """
     require_aligned(attention, benchmark_error, context="attention/benchmark masks")
-    structure = _structure(connectivity)
-    att = _require_binary(attention, "componentwise_metrics") != 0
-    err = _require_binary(benchmark_error, "componentwise_metrics") != 0
-
-    # Cropping to the box of att | err keeps every component; the counts
-    # below do not depend on id order. An empty box labels no component.
-    box = support_box([att, err])
-    att, err = att[box], err[box]
-    att_labels, n_att = ndimage.label(att, structure)
-    err_labels, n_err = ndimage.label(err, structure)
-    both = att & err
+    # The box of attention | error holds every nonzero voxel, so labeling the
+    # crops finds every component and validates every value that could fail;
+    # the counts below do not depend on id order.
+    box = support_box([attention.values, benchmark_error.values])
+    (att_labels, n_att), (err_labels, n_err) = (
+        connected_components(m.with_values(m.values[box]), connectivity)
+        for m in (attention, benchmark_error)
+    )
+    both = (att_labels != 0) & (err_labels != 0)
     tp = np.unique(err_labels[both]).size
     useful = np.unique(att_labels[both]).size
 
@@ -232,11 +187,8 @@ def false_positive_scan(
     """
     if not pred_masks:
         raise ValueError("false_positive_scan: empty case list")
-    structure = _structure(connectivity)
     per_case = tuple(
-        CaseComponentCount(
-            case_id, ndimage.label(_require_binary(mask, "false_positive_scan"), structure)[1]
-        )
+        CaseComponentCount(case_id, connected_components(mask, connectivity)[1])
         for case_id, mask in pred_masks
     )
     return FalsePositiveScan(

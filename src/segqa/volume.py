@@ -263,12 +263,6 @@ def _check_threshold(threshold: float) -> float:
     return t
 
 
-def binarize(channel: VolumeGrid, threshold: float = 0.5) -> VolumeGrid:
-    """Binary mask of voxels with value >= threshold."""
-    t = _check_threshold(threshold)
-    return channel.with_values((channel.values >= t).astype(np.uint8))
-
-
 def labels_from_soft(
     channels: Sequence[VolumeGrid],
     threshold: float = 0.5,

@@ -11,10 +11,9 @@ into one pass: a float64 stack sorted along the member axis per organ, and a
 float32 stack of the mean channels for the label argmax.
 
 The first-voxel references at the end are the component labeling and the
-component-wise metrics as the library computed them before it labeled the
-transposed mask and cropped evaluation to the foreground: ids ordered by a
-per-component minimum over a whole-volume linear index, then boxes and
-centroids for every component.
+component-wise metrics as the library computed them before it cropped
+evaluation to the foreground: whole-volume labels whose ids are ordered by a
+per-component minimum over a linear x-fastest index.
 """
 
 from __future__ import annotations
@@ -208,15 +207,13 @@ def sorted_stack_reduction(member_channels, cfg):
     }
 
 
-def first_voxel_components(mask: np.ndarray, connectivity: int, voxel_volume_mm3: float = 1.0):
-    """Components and int32 labels, ids sorted by each first voxel's x-fastest index."""
-    from segqa.regions import Component
-
+def first_voxel_components(mask: np.ndarray, connectivity: int):
+    """int32 labels with ids sorted by each first voxel's x-fastest index, and the count."""
     rank = {6: 1, 18: 2, 26: 3}[connectivity]
     v = np.asarray(mask) != 0
     raw, n = ndimage.label(v, structure=ndimage.generate_binary_structure(3, rank))
     if n == 0:
-        return [], raw.astype(np.int32)
+        return raw.astype(np.int32), 0
 
     ids = np.arange(1, n + 1)
     linear = np.arange(v.size, dtype=np.int64).reshape(v.shape, order="F")
@@ -224,40 +221,20 @@ def first_voxel_components(mask: np.ndarray, connectivity: int, voxel_volume_mm3
     order = np.argsort(first, kind="stable")
     lut = np.zeros(n + 1, dtype=np.int32)
     lut[ids[order]] = np.arange(1, n + 1, dtype=np.int32)
-    labels = lut[raw]
-
-    counts = np.bincount(labels.ravel(), minlength=n + 1)[1:]
-    slices = ndimage.find_objects(labels)
-    centroids = ndimage.center_of_mass(v, labels=labels, index=ids)
-    components = []
-    for i in range(n):
-        sl = slices[i]
-        components.append(
-            Component(
-                id=i + 1,
-                voxel_count=int(counts[i]),
-                size_mm3=float(counts[i]) * voxel_volume_mm3,
-                bbox=(
-                    (sl[0].start, sl[1].start, sl[2].start),
-                    (sl[0].stop - 1, sl[1].stop - 1, sl[2].stop - 1),
-                ),
-                centroid=tuple(float(x) for x in centroids[i]),
-            )
-        )
-    return components, labels
+    return lut[raw], n
 
 
 def first_voxel_componentwise(attention: np.ndarray, benchmark: np.ndarray, connectivity: int):
     """Sensitivity/precision from whole-volume first-voxel labelings of both masks."""
-    att_components, att_labels = first_voxel_components(attention, connectivity)
-    err_components, err_labels = first_voxel_components(benchmark, connectivity)
+    att_labels, n_att = first_voxel_components(attention, connectivity)
+    err_labels, n_err = first_voxel_components(benchmark, connectivity)
     att = attention != 0
     err = benchmark != 0
 
     tp = int(np.unique(err_labels[att & (err_labels > 0)]).size)
-    fn = len(err_components) - tp
-    fp = len(att_components) - int(np.unique(att_labels[err & (att_labels > 0)]).size)
+    fn = n_err - tp
+    fp = n_att - int(np.unique(att_labels[err & (att_labels > 0)]).size)
 
     sensitivity = tp / (tp + fn) if (tp + fn) > 0 else None
-    precision = (len(att_components) - fp) / len(att_components) if att_components else None
+    precision = (n_att - fp) / n_att if n_att else None
     return sensitivity, precision, tp, fp, fn

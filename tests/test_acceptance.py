@@ -236,7 +236,7 @@ def test_simulated_loop():
     assert covered_errors / total_errors >= 0.9
 
     reports = run_loop(
-        predictions={0: predictions},
+        loop0=predictions,
         truths=truths,
         cfg=cfg,
         policy=LoopPolicy(size_threshold_mm3=0.0, max_loops=3),

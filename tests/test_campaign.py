@@ -347,14 +347,14 @@ class TestRunLoop:
         organ[2:4, 2:4, 2:4] = 1.0
         ps = prediction_set("c0", [[organ]] * 3)
         truth = labels_from_soft([make_grid(organ, dtype=np.float32)], 0.5)
-        reports = run_loop({0: {"c0": ps}}, {"c0": truth})
+        reports = run_loop({"c0": ps}, {"c0": truth})
         assert len(reports) == 1
         assert reports[0].revised_count == 0
         assert reports[0].stopped is True
 
     def test_covered_errors_vanish_after_one_loop(self):
         ps, truth = two_organ_case()
-        reports = run_loop({0: {ps.case_id: ps}}, {ps.case_id: truth})
+        reports = run_loop({ps.case_id: ps}, {ps.case_id: truth})
         assert reports[0].revised_count == 1
         assert reports[0].residual_error_mm3 == 0.0
         assert reports[0].cases[0].dsc_after == 1.0
@@ -362,7 +362,7 @@ class TestRunLoop:
     def test_recycled_labels_shrink_attention(self):
         ps, truth = two_organ_case()
         reports = run_loop(
-            {0: {ps.case_id: ps}}, {ps.case_id: truth}, policy=LoopPolicy(max_loops=3)
+            {ps.case_id: ps}, {ps.case_id: truth}, policy=LoopPolicy(max_loops=3)
         )
         assert len(reports) == 2
         assert reports[1].total_attention_mm3 <= reports[0].total_attention_mm3
@@ -371,18 +371,9 @@ class TestRunLoop:
     def test_missing_loop_zero_rejected(self):
         ps, truth = two_organ_case()
         with pytest.raises(MissingPredictionsError):
-            run_loop({1: {ps.case_id: ps}}, {ps.case_id: truth})
-
-    def test_missing_later_loop_rejected_without_recycling(self):
-        ps, truth = two_organ_case()
-        with pytest.raises(MissingPredictionsError):
-            run_loop(
-                {0: {ps.case_id: ps}},
-                {ps.case_id: truth},
-                policy=LoopPolicy(max_loops=2, reuse_revised_labels=False),
-            )
+            run_loop({}, {ps.case_id: truth})
 
     def test_case_mismatch_rejected(self):
         ps, truth = two_organ_case()
         with pytest.raises(CampaignError):
-            run_loop({0: {ps.case_id: ps}}, {"other": truth})
+            run_loop({ps.case_id: ps}, {"other": truth})

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,19 @@ class TestDscAndMatrix:
         assert main(["dsc", "--a", str(pa), "--b", str(pb), "--organ", "2"]) == 0
         assert capsys.readouterr().out.strip() == "1.0"
 
+    def test_dsc_rejects_float32_volume(self, tmp_path, capsys):
+        path = tmp_path / "probs.nii.gz"
+        write_channel(path, np.array([1.0, 0.7]).reshape(2, 1, 1))
+        assert main(["dsc", "--a", str(path), "--b", str(path)]) == 1
+        assert "integer-kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("organ", ["0", "-1"])
+    def test_dsc_rejects_organ_below_one(self, tmp_path, capsys, organ):
+        path = tmp_path / "m.nii.gz"
+        write_labels(path, np.ones((2, 1, 1)))
+        assert main(["dsc", "--a", str(path), "--b", str(path), "--organ", organ]) == 1
+        assert "organ code must be >= 1" in capsys.readouterr().err
+
     def test_matrix(self, tmp_path):
         base = np.zeros((3, 3, 3), dtype=np.uint8)
         base[0] = 1
@@ -395,6 +409,26 @@ class TestEnsembleCli:
         assert label.values.all()
         sidecar = json.loads((out / "k_ensemble.json").read_text())
         assert sidecar["model_ids"] == ["m1", "m2", "m3"]
+
+
+    def test_previous_case_freed_before_next_loads(self, six_case_corpus, monkeypatch,
+                                                   tmp_path):
+        from segqa import corpus
+
+        _, models = six_case_corpus
+        real = corpus.load_prediction_set
+        loaded = []
+        alive_at_load = []
+
+        def tracking(case_id, members):
+            alive_at_load.append(sum(ref() is not None for ref in loaded))
+            preds = real(case_id, members)
+            loaded.append(weakref.ref(preds))
+            return preds
+
+        monkeypatch.setattr(corpus, "load_prediction_set", tracking)
+        assert main(["ensemble", "--preds", *models, "--out", str(tmp_path / "out")]) == 0
+        assert alive_at_load == [0] * 6
 
 
 class TestEvaluateCli:
@@ -586,6 +620,28 @@ class TestFpscanCli:
         assert payload["total_components"] == 2
         assert payload["fpr"] == 0.5
         assert payload["per_case"]["bad"] == 2
+
+
+    def test_rejects_float32_map(self, tmp_path, capsys):
+        probs = np.zeros((5, 1, 1), dtype=np.float32)
+        probs[0], probs[3] = 1.0, 0.7
+        write_channel(tmp_path / "preds" / "soft.nii.gz", probs)
+        out = tmp_path / "fp.json"
+        rc = main(["fpscan", "--preds", str(tmp_path / "preds"), "--organ", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "integer-kind" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("organ", ["0", "-1"])
+    def test_rejects_organ_below_one(self, tmp_path, capsys, organ):
+        write_labels(tmp_path / "preds" / "bad.nii.gz", np.ones((2, 1, 1)))
+        out = tmp_path / "fp.json"
+        rc = main(["fpscan", "--preds", str(tmp_path / "preds"), "--organ", organ,
+                   "--out", str(out)])
+        assert rc == 1
+        assert "organ code must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -15,7 +15,6 @@ from segqa.volume import (
     ProbabilityRangeError,
     SoftPrediction,
     VolumeGrid,
-    binarize,
     labels_from_soft,
     physical_volume,
     soft_from_labels,
@@ -71,37 +70,6 @@ class TestOrganLabelMap:
         assert OrganLabelMap.for_channel_count(3) == OrganLabelMap.generic(3)
 
 
-class TestBinarize:
-    def test_all_zero(self):
-        g = float_grid(np.zeros((2, 2, 2)))
-        assert not binarize(g, 0.5).values.any()
-
-    def test_all_one(self):
-        g = float_grid(np.ones((2, 2, 2)))
-        assert binarize(g, 0.5).values.all()
-
-    def test_threshold_is_inclusive(self):
-        g = float_grid(np.array([0.49, 0.50]).reshape(2, 1, 1))
-        out = binarize(g, 0.5)
-        assert out.values.ravel().tolist() == [0, 1]
-
-    def test_rejects_bad_threshold(self):
-        g = float_grid(np.zeros((1, 1, 1)))
-        with pytest.raises(ValueError):
-            binarize(g, 0.0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(st.floats(0, 1, width=32), min_size=1, max_size=8),
-        st.floats(0.01, 0.99),
-    )
-    def test_idempotent(self, probs, threshold):
-        g = float_grid(np.array(probs, dtype=np.float32).reshape(-1, 1, 1))
-        once = binarize(g, threshold)
-        twice = binarize(once.with_values(once.values.astype(np.float32)), threshold)
-        assert np.array_equal(once.values, twice.values)
-
-
 class TestLabelsFromSoft:
     def test_clear_winner(self):
         lv = labels_from_soft(
@@ -114,6 +82,15 @@ class TestLabelsFromSoft:
             [float_grid([[[0.3]]]), float_grid([[[0.3]]])], 0.5
         )
         assert lv.grid.values[0, 0, 0] == 0
+
+    def test_threshold_is_inclusive(self):
+        lv = labels_from_soft([float_grid(np.array([0.49, 0.50]).reshape(2, 1, 1))], 0.5)
+        assert lv.grid.values.ravel().tolist() == [0, 1]
+
+    def test_rejects_bad_threshold(self):
+        for threshold in (0.0, 1.0, -0.1):
+            with pytest.raises(ValueError):
+                labels_from_soft([float_grid(np.zeros((1, 1, 1)))], threshold)
 
     def test_tie_breaks_to_lowest_code(self):
         lv = labels_from_soft(
