@@ -298,7 +298,8 @@ def _write_state(state: CampaignState, path: Path) -> None:
         "config": state.config,
         "cases": [_entry_to_dict(c) for c in state.cases],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    # No indent: json encodes in C only without one, and the lock is held meanwhile.
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
     with open_replacing(path, "w", encoding="utf-8") as f:
         f.write(text)
         f.flush()

@@ -26,7 +26,7 @@ from . import campaign as camp
 from . import corpus, regions
 from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
-from .nifti import NiftiFormatError, open_replacing, read_volume, write_volume
+from .nifti import NiftiFormatError, open_replacing, write_volume
 from .volume import LabelVolume, OrganLabelMap, VolumeGrid
 
 PROG = "segqa"
@@ -189,18 +189,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_labels(path: str | Path) -> VolumeGrid:
-    grid = read_volume(path)
-    if grid.values.dtype == np.dtype(np.float32):
-        raise corpus.CorpusError(f"{path}: label volumes must be integer-kind")
-    return grid
-
-
 def _load_mask(path: str | Path, organ: int | None) -> VolumeGrid:
     """Binary mask of one organ code, or of any nonzero label, from an integer volume."""
     if organ is not None and organ < 1:
         raise ValueError(f"organ code must be >= 1, got {organ}")
-    grid = _read_labels(path)
+    grid = corpus.read_label_grid(path)
     hits = grid.values != 0 if organ is None else grid.values == organ
     return grid.with_values(hits.astype(np.uint8))
 
@@ -219,7 +212,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     names = []
     labelings = []
     for path in args.inputs:
-        grid = _read_labels(path)
+        grid = corpus.read_label_grid(path)
         count = max(int(grid.values.max()), args.organ)
         labelings.append(LabelVolume(grid, OrganLabelMap.for_channel_count(max(count, 1))))
         name = Path(path).name

@@ -166,11 +166,19 @@ def load_prediction_set(case_id: str, members: CaseChannels) -> PredictionSet:
     return PredictionSet(case_id=case_id, members=tuple(loaded))
 
 
-def load_label_volume(path: str | Path, labels: OrganLabelMap) -> LabelVolume:
+def read_label_grid(path: str | Path) -> VolumeGrid:
+    """Read a label volume: integer-kind (uint8 or int16) with no value below 0."""
     grid = read_volume(path)
-    if grid.values.dtype == np.dtype(np.float32):
+    v = grid.values
+    if v.dtype == np.dtype(np.float32):
         raise CorpusError(f"{path}: label volumes must be integer-kind, got float32")
-    return LabelVolume(grid, labels)
+    if v.dtype == np.dtype(np.int16) and int(v.min()) < 0:
+        raise CorpusError(f"{path}: label values must be >= 0, found {int(v.min())}")
+    return grid
+
+
+def load_label_volume(path: str | Path, labels: OrganLabelMap) -> LabelVolume:
+    return LabelVolume(read_label_grid(path), labels)
 
 
 # -- attention output naming ---------------------------------------------------

@@ -140,6 +140,11 @@ def parse_header(buf: bytes) -> NiftiHeader:
     if not (math.isfinite(scl_slope) and math.isfinite(scl_inter)):
         raise NiftiFormatError(f"scl_slope/scl_inter: must be finite, got {scl_slope}/{scl_inter}")
 
+    sform_code = int(fields[45])
+    srow = (tuple(fields[52:56]), tuple(fields[56:60]), tuple(fields[60:64]))
+    if sform_code > 0 and not all(math.isfinite(v) for row in srow for v in row):
+        raise NiftiFormatError(f"srow: sform rows must be finite, got {srow}")
+
     return NiftiHeader(
         dim=tuple(int(d) for d in dim),
         datatype=int(datatype),
@@ -149,8 +154,8 @@ def parse_header(buf: bytes) -> NiftiHeader:
         scl_slope=float(scl_slope),
         scl_inter=float(scl_inter),
         qform_code=int(fields[44]),
-        sform_code=int(fields[45]),
-        srow=(tuple(fields[52:56]), tuple(fields[56:60]), tuple(fields[60:64])),
+        sform_code=sform_code,
+        srow=srow,
     )
 
 

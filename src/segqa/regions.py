@@ -150,10 +150,22 @@ def dsc_matrix(labelings: Sequence[LabelVolume], organ_code: int) -> np.ndarray:
 
 
 def mean_label_dsc(a: LabelVolume, b: LabelVolume) -> float:
-    """Mean per-organ Dice between two label volumes over the full label map."""
+    """Mean per-organ Dice between two label volumes over the full label map.
+
+    Every organ is scored as :func:`dsc` scores its masks, from one joint
+    histogram of the label pairs: row c counts ``a == c``, column c counts
+    ``b == c`` and the diagonal counts both. The histogram holds (C + 1)²
+    counts for C organs.
+    """
     if a.labels.codes != b.labels.codes:
         raise ValueError("label volumes use different organ maps")
-    scores = [dsc(a.organ_mask(code), b.organ_mask(code)) for code in a.labels.codes]
+    require_aligned(a.grid, b.grid, context="masks")
+    n = len(a.labels) + 1
+    pairs = a.grid.values.astype(np.intp) * n + b.grid.values
+    joint = np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
+    both = joint.diagonal().tolist()
+    sizes = (joint.sum(axis=1) + joint.sum(axis=0)).tolist()
+    scores = [2.0 * both[c] / sizes[c] if sizes[c] else 1.0 for c in a.labels.codes]
     return float(np.mean(scores))
 
 

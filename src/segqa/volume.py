@@ -9,6 +9,7 @@ already live on the same voxel lattice, and mismatches are hard errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,6 +59,7 @@ class VolumeGrid:
     ``values`` is indexed ``[x, y, z]``; the flattened x-fastest order matches
     the on-disk order of the volume file format, so I/O never permutes data.
     Spacing is quantized to float32 (the precision the file format stores).
+    The affine must be finite; ``with_values`` shares it with the new grid.
     Element kind is one of uint8, int16, float32.
     """
 
@@ -76,17 +78,29 @@ class VolumeGrid:
         object.__setattr__(self, "values", _read_only(v))
 
         sp = tuple(float(np.float32(s)) for s in self.spacing)
-        if len(sp) != 3 or any(not np.isfinite(s) or s <= 0.0 for s in sp):
+        if len(sp) != 3 or any(not math.isfinite(s) or s <= 0.0 for s in sp):
             raise ValueError(f"spacing must be three positive reals, got {self.spacing!r}")
         object.__setattr__(self, "spacing", sp)
 
-        if self.affine is None:
-            aff = np.diag((*sp, 1.0))
+        aff = self.affine
+        if aff is None:
+            aff = _read_only(np.diag((*sp, 1.0)))
         else:
-            aff = np.asarray(self.affine, dtype=np.float64)
-            if aff.shape != (4, 4):
-                raise ValueError(f"affine must be 4x4, got shape {aff.shape}")
-        object.__setattr__(self, "affine", _read_only(aff))
+            # The form a grid stores its affine in is kept as it is, so grids
+            # made from one another share it and grids_aligned can stop at `is`.
+            if not (
+                isinstance(aff, np.ndarray)
+                and aff.dtype == np.float64
+                and aff.shape == (4, 4)
+                and not aff.flags.writeable
+            ):
+                aff = np.asarray(aff, dtype=np.float64)
+                if aff.shape != (4, 4):
+                    raise ValueError(f"affine must be 4x4, got shape {aff.shape}")
+                aff = _read_only(aff)
+            if not np.isfinite(aff).all():
+                raise ValueError(f"affine must be finite, got {aff.tolist()}")
+        object.__setattr__(self, "affine", aff)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -106,11 +120,15 @@ class VolumeGrid:
 
 
 def grids_aligned(a: VolumeGrid, b: VolumeGrid) -> bool:
-    return (
-        a.dims == b.dims
-        and a.spacing == b.spacing
-        and np.allclose(a.affine, b.affine, atol=1e-5)
-    )
+    """Same dims, same spacing, and affines equal within ``np.allclose(atol=1e-5)``.
+
+    Affines are finite, so a shared or bit-identical pair is always close and
+    only a pair that differs pays for ``np.allclose``.
+    """
+    if a.dims != b.dims or a.spacing != b.spacing:
+        return False
+    fa, fb = a.affine, b.affine
+    return fa is fb or fa.tobytes() == fb.tobytes() or np.allclose(fa, fb, atol=1e-5)
 
 
 def require_aligned(*grids: VolumeGrid, context: str = "volumes") -> None:

@@ -373,6 +373,15 @@ class TestDscAndMatrix:
         assert main(["dsc", "--a", str(path), "--b", str(path), "--organ", organ]) == 1
         assert "organ code must be >= 1" in capsys.readouterr().err
 
+    def test_dsc_rejects_negative_labels(self, tmp_path, capsys):
+        pa, pb = tmp_path / "a.nii.gz", tmp_path / "b.nii.gz"
+        write_volume(VolumeGrid(np.array([1, -1, 0, 0], np.int16).reshape(4, 1, 1)), pa)
+        write_volume(VolumeGrid(np.array([1, 0, 0, 0], np.int16).reshape(4, 1, 1)), pb)
+        assert main(["dsc", "--a", str(pa), "--b", str(pb)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{pa}: label values must be >= 0" in captured.err
+
     def test_matrix(self, tmp_path):
         base = np.zeros((3, 3, 3), dtype=np.uint8)
         base[0] = 1
@@ -631,6 +640,18 @@ class TestFpscanCli:
                    "--out", str(out)])
         assert rc == 1
         assert "integer-kind" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejects_negative_labels(self, tmp_path, capsys):
+        labels = np.array([1, 0, 0, -1, 0], np.int16).reshape(5, 1, 1)
+        path = tmp_path / "preds" / "signed.nii.gz"
+        path.parent.mkdir()
+        write_volume(VolumeGrid(labels), path)
+        out = tmp_path / "fp.json"
+        rc = main(["fpscan", "--preds", str(tmp_path / "preds"), "--organ", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"{path}: label values must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("organ", ["0", "-1"])

@@ -8,12 +8,13 @@ from segqa.corpus import (
     discover_cases,
     find_channel_volumes,
     find_label_volumes,
+    load_label_volume,
     load_prediction_set,
     read_sizes,
     write_csv,
 )
 from segqa.nifti import open_replacing, read_volume, write_volume
-from segqa.volume import VolumeGrid
+from segqa.volume import OrganLabelMap, VolumeGrid
 
 
 def write_float(path, values):
@@ -164,6 +165,22 @@ class TestLoad:
         message = str(exc.value)
         assert "case 'c'" in message and "model 'beta', organ 1" in message
         assert str(tmp_path / "beta" / "c_organ1.nii.gz") in message
+
+    @pytest.mark.parametrize("dtype, value", [(np.float32, 1.0), (np.int16, -3)])
+    def test_label_volume_must_be_non_negative_integers(self, tmp_path, dtype, value):
+        path = tmp_path / "case.nii.gz"
+        values = np.zeros((3, 2, 2), dtype=dtype)
+        values[2, 1, 1] = value
+        write_volume(VolumeGrid(values), path)
+        with pytest.raises(CorpusError, match="integer-kind|>= 0") as exc:
+            load_label_volume(path, OrganLabelMap.generic(2))
+        assert str(path) in str(exc.value)
+
+    def test_int16_labels_load(self, tmp_path):
+        path = tmp_path / "case.nii.gz"
+        write_volume(VolumeGrid(np.full((2, 2, 2), 2, dtype=np.int16)), path)
+        lv = load_label_volume(path, OrganLabelMap.generic(2))
+        assert lv.grid.values.dtype == np.int16 and int(lv.grid.values.sum()) == 16
 
     def test_file_like_read(self, tmp_path):
         path = tmp_path / "v.nii"

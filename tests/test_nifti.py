@@ -95,6 +95,21 @@ class TestRead:
         with pytest.raises(NiftiFormatError, match="pixdim"):
             read_volume(hand_built_file(pixdim=(1.0, -2.0, 1.0)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("slot", [3, 5, 11])
+    def test_non_finite_sform_rejected(self, bad, slot):
+        blob = bytearray(hand_built_file())
+        struct.pack_into("<h", blob, 254, 1)  # sform_code
+        struct.pack_into("<12f", blob, 280, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0)
+        struct.pack_into("<f", blob, 280 + 4 * slot, bad)
+        with pytest.raises(NiftiFormatError, match="srow"):
+            read_volume(bytes(blob))
+
+    def test_sform_rows_ignored_without_sform_code(self):
+        blob = bytearray(hand_built_file())
+        struct.pack_into("<f", blob, 280, float("nan"))
+        assert np.array_equal(read_volume(bytes(blob)).affine, np.eye(4))
+
     def test_slope_scaling_applied(self):
         raw = hand_built_file()
         header = bytearray(raw[:HEADER_SIZE])

@@ -7,6 +7,7 @@ from oracles import (
     first_voxel_components,
     first_voxel_componentwise,
     flood_components,
+    per_organ_mean_dsc,
 )
 from segqa.regions import (
     componentwise_metrics,
@@ -358,6 +359,33 @@ class TestMeanLabelDsc:
         b = label_volume([[[1, 2]]])
         # organ1 dsc 1.0, organ2 dsc 0.0 (empty vs nonempty)
         assert mean_label_dsc(a, b) == 0.5
+
+    @pytest.mark.parametrize("dtypes", [(np.uint8, np.uint8), (np.int16, np.int16),
+                                        (np.uint8, np.int16)])
+    def test_matches_per_organ_loop_bit_for_bit(self, rng, dtypes):
+        organs = 9
+        for trial in range(40):
+            dims = tuple(int(d) for d in rng.integers(1, 9, size=3))
+            # Few codes per volume leave some organs absent from one or both sides.
+            present = rng.choice(np.arange(organs + 1), size=int(rng.integers(1, 5)))
+            a, b = (rng.choice(present, size=dims).astype(dt) for dt in dtypes)
+            if trial % 10 == 0:
+                a = np.zeros(dims, dtype=dtypes[0])  # all background
+            lv_a, lv_b = (LabelVolume(make_grid(v), OrganLabelMap.generic(organs)) for v in (a, b))
+            expected = per_organ_mean_dsc(a, b, range(1, organs + 1))
+            assert np.float64(mean_label_dsc(lv_a, lv_b)).tobytes() == np.float64(expected).tobytes()
+
+    def test_all_background_scores_one(self):
+        lv = label_volume(np.zeros((3, 2, 2)), organs=9)
+        assert mean_label_dsc(lv, lv) == 1.0
+
+    def test_misaligned_rejected(self):
+        with pytest.raises(AlignmentError):
+            mean_label_dsc(label_volume([[[1, 0]]]), label_volume([[[1]], [[0]]]))
+
+    def test_different_maps_rejected(self):
+        with pytest.raises(ValueError):
+            mean_label_dsc(label_volume([[[1, 0]]]), label_volume([[[1, 0]]], organs=3))
 
 
 class TestFalsePositiveScan:

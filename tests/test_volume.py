@@ -15,6 +15,7 @@ from segqa.volume import (
     ProbabilityRangeError,
     SoftPrediction,
     VolumeGrid,
+    grids_aligned,
     labels_from_soft,
     physical_volume,
     soft_from_labels,
@@ -49,6 +50,79 @@ class TestVolumeGrid:
     def test_default_affine_is_spacing_scaled(self):
         g = mask_grid(np.zeros((1, 1, 1)), spacing=(2.0, 3.0, 4.0))
         assert np.allclose(np.diag(g.affine), (2.0, 3.0, 4.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_affine(self, bad):
+        affine = np.eye(4)
+        affine[1, 3] = bad
+        with pytest.raises(ValueError, match="affine must be finite"):
+            VolumeGrid(np.zeros((2, 2, 2), dtype=np.uint8), affine=affine)
+        affine.flags.writeable = False  # the form a grid stores
+        with pytest.raises(ValueError, match="affine must be finite"):
+            VolumeGrid(np.zeros((2, 2, 2), dtype=np.uint8), affine=affine)
+
+    def test_with_values_shares_the_affine(self):
+        g = make_grid(np.zeros((2, 2, 2)), spacing=(0.8, 0.8, 2.5), dtype=np.uint8)
+        derived = g.with_values(np.ones((2, 2, 2), dtype=np.uint8))
+        assert derived.affine is g.affine
+        assert derived.spacing == g.spacing
+
+
+def _aligned_by_rule(a: VolumeGrid, b: VolumeGrid) -> bool:
+    return a.dims == b.dims and a.spacing == b.spacing and np.allclose(a.affine, b.affine, atol=1e-5)
+
+
+def _offset(delta: float, at=(0, 3)) -> np.ndarray:
+    affine = np.diag((0.8, 0.8, 2.5, 1.0))
+    affine[at] += delta
+    return affine
+
+
+def _negative_zeros() -> np.ndarray:
+    affine = np.diag((0.8, 0.8, 2.5, 1.0))
+    affine[affine == 0] = -0.0
+    return affine
+
+
+class TestGridsAligned:
+    """grids_aligned against dims == dims, spacing == spacing and allclose(atol=1e-5)."""
+
+    BASE = np.diag((0.8, 0.8, 2.5, 1.0))
+    CASES = {
+        "same object": None,
+        "equal copy": BASE.copy(),
+        "equal list": BASE.tolist(),
+        "-0.0 for 0.0": _negative_zeros(),
+        "offset 1e-6": _offset(1e-6),
+        "offset -1e-6 on the diagonal": _offset(-1e-6, at=(1, 1)),
+        "offset 1e-4": _offset(1e-4),
+        "offset 1e-4 on the diagonal": _offset(1e-4, at=(2, 2)),
+        "rotated": np.array([[0.0, -0.8, 0, 0], [0.8, 0, 0, 0], [0, 0, 2.5, 0], [0, 0, 0, 1]]),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_the_allclose_rule(self, name):
+        values = np.zeros((3, 2, 2), dtype=np.uint8)
+        a = VolumeGrid(values, (0.8, 0.8, 2.5), self.BASE)
+        other = self.CASES[name]
+        b = a.with_values(values) if other is None else VolumeGrid(values, (0.8, 0.8, 2.5), other)
+        for x, y in ((a, b), (b, a)):
+            assert grids_aligned(x, y) is _aligned_by_rule(x, y)
+
+    @pytest.mark.parametrize(
+        "spacing_b, dims_b",
+        [
+            ((0.80000001, 0.8, 2.5), (3, 2, 2)),  # equal only after float32 rounding
+            ((np.float32(0.8), 0.8, 2.5), (3, 2, 2)),
+            ((0.8001, 0.8, 2.5), (3, 2, 2)),
+            ((0.8, 0.8, 2.5), (2, 3, 2)),
+        ],
+    )
+    def test_spacing_and_dims(self, spacing_b, dims_b):
+        a = VolumeGrid(np.zeros((3, 2, 2), dtype=np.uint8), (0.8, 0.8, 2.5))
+        b = VolumeGrid(np.zeros(dims_b, dtype=np.uint8), spacing_b)
+        for x, y in ((a, b), (b, a)):
+            assert grids_aligned(x, y) is _aligned_by_rule(x, y)
 
 
 class TestOrganLabelMap:
