@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .detect import AttentionMap, DetectionConfig, build_attention
+from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
 from .nifti import open_replacing
 from .regions import mean_label_dsc
@@ -32,6 +32,7 @@ from .volume import (
     LabelVolume,
     PredictionSet,
     SoftPrediction,
+    VolumeGrid,
     require_aligned,
     soft_from_labels,
 )
@@ -341,7 +342,7 @@ def update_state(path: str | Path, change: Callable[[CampaignState], CampaignSta
 # -- simulated annotator and loop runner --------------------------------------
 
 def simulate_revision(
-    pseudo: LabelVolume, truth: LabelVolume, attention: AttentionMap
+    pseudo: LabelVolume, truth: LabelVolume, union_mask: VolumeGrid
 ) -> LabelVolume:
     """Oracle annotator: copy truth inside the attention union, keep pseudo outside.
 
@@ -350,10 +351,8 @@ def simulate_revision(
     """
     if pseudo.labels.codes != truth.labels.codes:
         raise CampaignError("pseudo and truth label volumes use different organ maps")
-    require_aligned(
-        pseudo.grid, truth.grid, attention.union_mask, context="revision inputs"
-    )
-    inside = attention.union_mask.values != 0
+    require_aligned(pseudo.grid, truth.grid, union_mask, context="revision inputs")
+    inside = union_mask.values != 0
     revised = np.where(inside, truth.grid.values, pseudo.grid.values)
     return LabelVolume(pseudo.grid.with_values(revised.astype(pseudo.grid.values.dtype)), pseudo.labels)
 
@@ -413,63 +412,65 @@ def run_loop(
 ) -> list[LoopReport]:
     """Run the detect / rank / select / revise loop over a fixed corpus.
 
-    `loop0` maps each case id to its loop-0 prediction set. Every later loop
-    recycles the previous loop's revised labels as hard predictions,
-    replicated to the loop-0 member count, which exercises the full protocol
-    without a training system attached. The loop stops when the simulated
-    annotator confirms the top-ranked case (its attention size is at or below
-    the cutoff) or when the loop budget runs out. Residual error is measured
+    `loop0` maps each case id to its loop-0 prediction set, and may read each
+    set from disk on lookup (:class:`segqa.corpus.PredictionSets`). Every loop
+    looks each case up once, in case-id order, and drops its predictions
+    before it looks up the next. Of a case it keeps only the attention total,
+    the union mask and the consensus labels, so it holds one case's channels
+    at a time. Every later loop recycles the previous loop's revised labels
+    as hard predictions, replicated to the member count of the first loop-0
+    case and built at lookup time, which exercises the full protocol without
+    a training system attached. The loop stops when the simulated annotator
+    confirms the top-ranked case (its attention size is at or below the
+    cutoff) or when the loop budget runs out. Residual error is measured
     against truth after the selected cases are revised.
     """
     cfg = cfg or DetectionConfig()
     policy = policy or LoopPolicy()
     if not loop0:
         raise MissingPredictionsError("no predictions for loop 0")
+    case_ids = sorted(loop0)
+    if sorted(truths) != case_ids:
+        missing = sorted(set(case_ids) ^ set(truths))
+        raise CampaignError(f"prediction/truth case mismatch: {missing}")
 
-    current = loop0
-    member_count = next(iter(current.values())).num_members
+    member_count = 0
+    revised: dict[str, LabelVolume] = {}
     reports: list[LoopReport] = []
 
     for loop_index in range(policy.max_loops):
-        case_ids = sorted(current)
-        if sorted(truths) != case_ids:
-            missing = sorted(set(case_ids) ^ set(truths))
-            raise CampaignError(f"prediction/truth case mismatch: {missing}")
+        # Per case: attention total, union mask and consensus labels.
+        reduced: dict[str, tuple[float, VolumeGrid, LabelVolume]] = {}
+        for cid in case_ids:
+            if loop_index == 0:
+                preds = loop0[cid]
+                member_count = member_count or preds.num_members
+            else:
+                preds = _labels_as_predictions(cid, revised.pop(cid), member_count, loop_index)
+            amap = build_attention(preds, cfg)
+            pseudo = ensemble_label(preds, cfg.binarize_threshold, truths[cid].labels)
+            reduced[cid] = (amap.total_mm3, amap.union_mask, pseudo)
+            # Dropped before the next lookup, so one case's channels are alive at a time.
+            del preds, amap
 
-        attentions = {cid: build_attention(current[cid], cfg) for cid in case_ids}
-        pseudos = {
-            cid: ensemble_label(
-                current[cid], cfg.binarize_threshold, truths[cid].labels
-            )
-            for cid in case_ids
-        }
-        entries = [
-            CaseEntry(
-                case_id=cid,
-                per_organ_mm3={},
-                total_mm3=attentions[cid].total_mm3,
-            )
-            for cid in case_ids
-        ]
-        ranking = rank_cases(entries)
+        ranking = rank_cases(
+            [CaseEntry(case_id=cid, per_organ_mm3={}, total_mm3=reduced[cid][0])
+             for cid in case_ids]
+        )
         selected = {e.case_id for e in select_for_revision(ranking, policy.size_threshold_mm3)}
         stopped = ranking[0].case_id not in selected  # top case confirmed untouched
 
-        revised: dict[str, LabelVolume] = {}
         results = []
         for cid in case_ids:
-            pseudo = pseudos[cid]
+            attention_mm3, union_mask, pseudo = reduced.pop(cid)
             truth = truths[cid]
-            if cid in selected:
-                final = simulate_revision(pseudo, truth, attentions[cid])
-            else:
-                final = pseudo
+            final = simulate_revision(pseudo, truth, union_mask) if cid in selected else pseudo
             revised[cid] = final
             residual_voxels = int(np.count_nonzero(final.grid.values != truth.grid.values))
             results.append(
                 CaseLoopResult(
                     case_id=cid,
-                    attention_mm3=attentions[cid].total_mm3,
+                    attention_mm3=attention_mm3,
                     selected=cid in selected,
                     dsc_before=mean_label_dsc(pseudo, truth),
                     dsc_after=mean_label_dsc(final, truth),
@@ -488,13 +489,8 @@ def run_loop(
                 cases=tuple(results),
             )
         )
-        if stopped or loop_index + 1 >= policy.max_loops:
+        if stopped:
             break
-
-        current = {
-            cid: _labels_as_predictions(cid, revised[cid], member_count, loop_index + 1)
-            for cid in case_ids
-        }
     return reports
 
 

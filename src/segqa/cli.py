@@ -314,12 +314,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if missing:
         raise corpus.CorpusError(f"missing truth labels for cases: {missing[:5]}")
 
-    loop0 = {cid: corpus.load_prediction_set(cid, m) for cid, m in index.members.items()}
     truths = {
         cid: corpus.load_label_volume(truth_files[cid], labels) for cid in index.case_ids
     }
     policy = camp.LoopPolicy(size_threshold_mm3=args.threshold_mm3, max_loops=args.loops)
-    reports = camp.run_loop(loop0, truths, cfg, policy)
+    reports = camp.run_loop(corpus.PredictionSets(index), truths, cfg, policy)
     corpus.write_json(
         args.out,
         {

@@ -25,6 +25,7 @@ import csv
 import json
 import os
 import re
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -164,6 +165,27 @@ def load_prediction_set(case_id: str, members: CaseChannels) -> PredictionSet:
         except ProbabilityRangeError as exc:
             raise CorpusError(f"case {case_id!r}: {paths[exc.code - 1]}: {exc}") from exc
     return PredictionSet(case_id=case_id, members=tuple(loaded))
+
+
+class PredictionSets(Mapping[str, PredictionSet]):
+    """Case id -> the case's PredictionSet, decoded from disk on every lookup.
+
+    Nothing is cached: a caller that drops each set before it looks up the
+    next holds one case's channels at a time. Iterating lists the index's
+    case ids and reads no file.
+    """
+
+    def __init__(self, index: CorpusIndex):
+        self._index = index
+
+    def __getitem__(self, case_id: str) -> PredictionSet:
+        return load_prediction_set(case_id, self._index.members[case_id])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index.case_ids)
+
+    def __len__(self) -> int:
+        return len(self._index.case_ids)
 
 
 def read_label_grid(path: str | Path) -> VolumeGrid:

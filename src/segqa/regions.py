@@ -149,24 +149,27 @@ def dsc_matrix(labelings: Sequence[LabelVolume], organ_code: int) -> np.ndarray:
     return out
 
 
-def mean_label_dsc(a: LabelVolume, b: LabelVolume) -> float:
-    """Mean per-organ Dice between two label volumes over the full label map.
+def _organ_dscs(a: LabelVolume, b: LabelVolume) -> list[float]:
+    """Dice of every organ code of a's map, in code order, as :func:`dsc` scores its masks.
 
-    Every organ is scored as :func:`dsc` scores its masks, from one joint
-    histogram of the label pairs: row c counts ``a == c``, column c counts
-    ``b == c`` and the diagonal counts both. The histogram holds (C + 1)²
-    counts for C organs.
+    The counts come from one joint histogram of the label pairs: row c counts
+    ``a == c``, column c counts ``b == c`` and the diagonal counts both. The
+    histogram holds (C + 1)² counts for C organs.
     """
-    if a.labels.codes != b.labels.codes:
-        raise ValueError("label volumes use different organ maps")
     require_aligned(a.grid, b.grid, context="masks")
     n = len(a.labels) + 1
     pairs = a.grid.values.astype(np.intp) * n + b.grid.values
     joint = np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
     both = joint.diagonal().tolist()
     sizes = (joint.sum(axis=1) + joint.sum(axis=0)).tolist()
-    scores = [2.0 * both[c] / sizes[c] if sizes[c] else 1.0 for c in a.labels.codes]
-    return float(np.mean(scores))
+    return [2.0 * both[c] / sizes[c] if sizes[c] else 1.0 for c in a.labels.codes]
+
+
+def mean_label_dsc(a: LabelVolume, b: LabelVolume) -> float:
+    """Mean per-organ Dice between two label volumes over the full label map."""
+    if a.labels.codes != b.labels.codes:
+        raise ValueError("label volumes use different organ maps")
+    return float(np.mean(_organ_dscs(a, b)))
 
 
 @dataclass(frozen=True)
@@ -231,18 +234,13 @@ def evaluate_case(
             f"{len(pseudo.labels)} organs"
         )
     organs: dict[str, OrganMetrics] = {}
-    for code, name in pseudo.labels.entries:
-        pseudo_mask = pseudo.organ_mask(code)
-        truth_mask = truth.organ_mask(code)
-        benchmark = error_region(pseudo_mask, truth_mask)
+    for (code, name), organ_dsc in zip(pseudo.labels.entries, _organ_dscs(pseudo, truth)):
+        benchmark = error_region(pseudo.organ_mask(code), truth.organ_mask(code))
         sensitivity, precision, counts = componentwise_metrics(
             attention_masks[code - 1], benchmark, connectivity
         )
         organs[name] = OrganMetrics(
-            sensitivity=sensitivity,
-            precision=precision,
-            counts=counts,
-            dsc=dsc(pseudo_mask, truth_mask),
+            sensitivity=sensitivity, precision=precision, counts=counts, dsc=organ_dsc
         )
     prov = dict(provenance or {})
     prov.setdefault("connectivity", connectivity)

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import weakref
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from segqa.campaign import (
 )
 from segqa.detect import build_attention
 from segqa.regions import mean_label_dsc
-from segqa.volume import LabelVolume, OrganLabelMap, labels_from_soft
+from segqa.volume import LabelVolume, OrganLabelMap, PredictionSet, labels_from_soft
 
 
 def entry(case_id, total, status="pending"):
@@ -274,7 +276,7 @@ class TestSimulateRevision:
         ps, truth = two_organ_case()
         amap = build_attention(ps)
         pseudo = labels_from_soft(list(ps.members[0].channels), 0.5)
-        out = simulate_revision(pseudo, truth, amap)
+        out = simulate_revision(pseudo, truth, amap.union_mask)
         assert np.array_equal(out.grid.values, truth.grid.values)
 
     def test_empty_attention_is_noop(self):
@@ -285,7 +287,7 @@ class TestSimulateRevision:
         )
         amap = build_attention(agree)  # identical members, hard probs: empty
         assert amap.total_mm3 == 0.0
-        out = simulate_revision(pseudo, truth, amap)
+        out = simulate_revision(pseudo, truth, amap.union_mask)
         assert np.array_equal(out.grid.values, pseudo.grid.values)
 
     def test_partial_coverage_leaves_uncovered_half(self):
@@ -302,7 +304,7 @@ class TestSimulateRevision:
         half[0, 0, 0] = 1.0
         ps = prediction_set("c", [[half], [np.zeros(dims, dtype=np.float32)]])
         amap = build_attention(ps)
-        out = simulate_revision(pseudo, truth, amap)
+        out = simulate_revision(pseudo, truth, amap.union_mask)
         residual = out.grid.values != truth.grid.values
         assert residual.sum() == 1
         assert residual[1, 0, 0]
@@ -312,7 +314,7 @@ class TestSimulateRevision:
         ps, truth = two_organ_case()
         amap = build_attention(ps)
         pseudo = labels_from_soft(list(ps.members[0].channels), 0.5)
-        out = simulate_revision(pseudo, truth, amap)
+        out = simulate_revision(pseudo, truth, amap.union_mask)
         assert mean_label_dsc(out, truth) >= mean_label_dsc(pseudo, truth)
 
     def test_voxelwise_identity_against_where_oracle(self, rng):
@@ -335,9 +337,37 @@ class TestSimulateRevision:
             )
             pseudo = LabelVolume(make_grid(pseudo_values, dtype=np.uint8), labels)
             truth = LabelVolume(make_grid(truth_values, dtype=np.uint8), labels)
-            out = simulate_revision(pseudo, truth, amap)
+            out = simulate_revision(pseudo, truth, amap.union_mask)
             expected = np.where(att != 0, truth_values, pseudo_values)
             assert np.array_equal(out.grid.values, expected)
+
+
+class FreshLookups(Mapping):
+    """Loop-0 predictions served as a corpus on disk serves them: a new
+    PredictionSet on every lookup, nothing kept between lookups."""
+
+    def __init__(self, sets, make=PredictionSet):
+        self.members = {ps.case_id: ps.members for ps in sets}
+        self.make = make
+        self.lookups = 0
+
+    def __getitem__(self, case_id):
+        self.lookups += 1
+        return self.make(case_id, self.members[case_id])
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __len__(self):
+        return len(self.members)
+
+
+def three_cases():
+    """Cases with covered errors, errors all models share, and none; and their truths."""
+    (flagged, truth), (blind, _) = two_organ_case(), two_organ_case(error_all_models=True)
+    clean = prediction_set("c2", [[ch.values for ch in flagged.members[2].channels]] * 2)
+    sets = [PredictionSet("c0", flagged.members), PredictionSet("c1", blind.members), clean]
+    return sets, {ps.case_id: truth for ps in sets}
 
 
 class TestRunLoop:
@@ -377,3 +407,44 @@ class TestRunLoop:
         ps, truth = two_organ_case()
         with pytest.raises(CampaignError):
             run_loop({ps.case_id: ps}, {"other": truth})
+
+    def test_loop_zero_looked_up_once_per_case(self):
+        sets, truths = three_cases()
+        loop0 = FreshLookups(sets)
+        reports = run_loop(loop0, truths)
+        assert len(reports) == 2
+        assert loop0.lookups == len(sets)
+        assert reports == run_loop({ps.case_id: ps for ps in sets}, truths)
+
+    def test_each_case_freed_before_the_next_is_looked_up(self, monkeypatch):
+        """A case's predictions and attention map are gone when the next case is read."""
+        from segqa import campaign
+
+        made = []
+        alive_at_lookup = []
+
+        def kept(make):
+            def call(*args):
+                result = make(*args)
+                made.append(weakref.ref(result))
+                return result
+
+            return call
+
+        def looked_up(make):
+            make = kept(make)
+
+            def call(*args):
+                alive_at_lookup.append(sum(ref() is not None for ref in made))
+                return make(*args)
+
+            return call
+
+        monkeypatch.setattr(campaign, "build_attention", kept(campaign.build_attention))
+        # Loops >= 1 look each case up by building its hard channels.
+        monkeypatch.setattr(campaign, "_labels_as_predictions",
+                            looked_up(campaign._labels_as_predictions))
+        sets, truths = three_cases()
+        reports = run_loop(FreshLookups(sets, make=looked_up(PredictionSet)), truths)
+        assert len(reports) == 2
+        assert alive_at_lookup == [0] * (2 * len(sets))

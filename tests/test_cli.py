@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -609,6 +610,50 @@ class TestSimulateCli:
         assert loops[0]["residual_error_mm3"] == 0.0
         assert loops[-1]["stopped"] is True
         assert loops[1]["total_attention_mm3"] <= loops[0]["total_attention_mm3"]
+
+    def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        """Four more cases must cost less than one case's K x C float32 channels."""
+        dims, organs = (16, 16, 8), 9
+        rng = np.random.default_rng(11)
+
+        def corpus_of(cases: int) -> list[str]:
+            root = tmp_path / f"cases{cases}"
+            for case in range(cases):
+                write_labels(root / "truth" / f"case{case}.nii.gz",
+                             rng.integers(0, organs + 1, size=dims))
+                for model in MODELS:
+                    for code in range(1, organs + 1):
+                        write_channel(root / model / f"case{case}_organ{code}.nii.gz",
+                                      rng.random(dims))
+            return ["simulate", "--preds", *(str(root / m) for m in MODELS),
+                    "--truth", str(root / "truth"), "--out", str(root / "report.json")]
+
+        def peak(argv: list[str]) -> int:
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = corpus_of(2), corpus_of(6)
+        assert main(small) == 0  # first calls warm up outside the measurement
+        one_case_channels = len(MODELS) * organs * int(np.prod(dims)) * 4
+        assert peak(large) - peak(small) < one_case_channels
+
+    def test_nan_in_last_case_fails_without_report(self, six_case_corpus, tmp_path, capsys):
+        root, models = six_case_corpus
+        bad = Path(models[1]) / "case5_organ2.nii.gz"
+        values = read_volume(bad).values.copy()
+        values[2, 2, 1] = np.nan
+        write_channel(bad, values)
+        report = tmp_path / "report.json"
+        rc = main(["simulate", "--preds", *models, "--truth", str(root / "truth"),
+                   "--out", str(report)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'case5'" in err and str(bad) in err
+        assert not report.exists()
 
 
 class TestFpscanCli:

@@ -15,6 +15,7 @@ from segqa.regions import (
     dsc,
     dsc_matrix,
     error_region,
+    evaluate_case,
     false_positive_scan,
     mean_label_dsc,
     remove_small_components,
@@ -386,6 +387,24 @@ class TestMeanLabelDsc:
     def test_different_maps_rejected(self):
         with pytest.raises(ValueError):
             mean_label_dsc(label_volume([[[1, 0]]]), label_volume([[[1, 0]]], organs=3))
+
+
+class TestEvaluateCase:
+    def test_dsc_matches_per_organ_dsc_bit_for_bit(self, rng):
+        organs = 9
+        labels = OrganLabelMap.generic(organs)
+        for _ in range(30):
+            dims = tuple(int(d) for d in rng.integers(1, 7, size=3))
+            # Few codes per volume leave some organs absent from one or both sides.
+            present = rng.choice(np.arange(organs + 1), size=int(rng.integers(1, 5)))
+            a, b = (rng.choice(present, size=dims).astype(np.uint8) for _ in range(2))
+            pseudo, truth = (LabelVolume(make_grid(v), labels) for v in (a, b))
+            attention = [mask_grid(rng.random(dims) < 0.3) for _ in range(organs)]
+            report = evaluate_case("c", attention, pseudo, truth)
+            for code, name in labels.entries:
+                expected = dsc(pseudo.organ_mask(code), truth.organ_mask(code))
+                got = report.organs[name].dsc
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestFalsePositiveScan:
