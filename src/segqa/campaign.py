@@ -391,15 +391,15 @@ class LoopReport:
     cases: tuple[CaseLoopResult, ...]
 
 
-def _labels_as_predictions(
-    case_id: str, label: LabelVolume, members: int, loop_index: int
-) -> PredictionSet:
+def _labels_as_predictions(case_id: str, label: LabelVolume, loop_index: int) -> PredictionSet:
+    # Identical 0/1 members have std 0 and a mean equal to the channel, whatever
+    # their count, so two (the fewest build_attention accepts) stand in for K.
     channels = soft_from_labels(label)
     return PredictionSet(
         case_id=case_id,
         members=tuple(
             SoftPrediction(model_id=f"revised-loop{loop_index}-m{k}", channels=channels)
-            for k in range(members)
+            for k in range(2)
         ),
     )
 
@@ -410,20 +410,24 @@ def run_loop(
     cfg: DetectionConfig | None = None,
     policy: LoopPolicy | None = None,
 ) -> list[LoopReport]:
-    """Run the detect / rank / select / revise loop over a fixed corpus.
+    """Run the detect / select / revise loop over a fixed corpus.
 
-    `loop0` maps each case id to its loop-0 prediction set, and may read each
-    set from disk on lookup (:class:`segqa.corpus.PredictionSets`). Every loop
-    looks each case up once, in case-id order, and drops its predictions
-    before it looks up the next. Of a case it keeps only the attention total,
-    the union mask and the consensus labels, so it holds one case's channels
-    at a time. Every later loop recycles the previous loop's revised labels
-    as hard predictions, replicated to the member count of the first loop-0
-    case and built at lookup time, which exercises the full protocol without
-    a training system attached. The loop stops when the simulated annotator
-    confirms the top-ranked case (its attention size is at or below the
-    cutoff) or when the loop budget runs out. Residual error is measured
-    against truth after the selected cases are revised.
+    Every loop makes one pass over the cases in case-id order. It looks each
+    case up once, builds its attention map and consensus labels, and drops
+    the predictions and the map before it looks up the next case; `loop0` may
+    therefore read each set from disk on lookup
+    (:class:`segqa.corpus.PredictionSets`). A case whose attention total
+    exceeds the cutoff is revised by the simulated annotator, then scored
+    against truth. Of a case only its final labels are kept, so across the
+    corpus the loop holds two uint8 volumes per case (truth and labels) plus
+    one case's channels.
+
+    Every later loop recycles the previous loop's labels as two identical
+    hard members, which exercises the full protocol without a training
+    system attached. Such members have std 0 and entropy 0, and each voxel
+    carries at most one organ, so every loop >= 1 has an empty attention map
+    and the loop stops there. The loop stops when no case is above the cutoff
+    (the top-ranked case is confirmed) or when the loop budget runs out.
     """
     cfg = cfg or DetectionConfig()
     policy = policy or LoopPolicy()
@@ -434,82 +438,51 @@ def run_loop(
         missing = sorted(set(case_ids) ^ set(truths))
         raise CampaignError(f"prediction/truth case mismatch: {missing}")
 
-    member_count = 0
-    revised: dict[str, LabelVolume] = {}
+    labels: dict[str, LabelVolume] = {}
     reports: list[LoopReport] = []
 
     for loop_index in range(policy.max_loops):
-        # Per case: attention total, union mask and consensus labels.
-        reduced: dict[str, tuple[float, VolumeGrid, LabelVolume]] = {}
+        results = []
         for cid in case_ids:
             if loop_index == 0:
                 preds = loop0[cid]
-                member_count = member_count or preds.num_members
             else:
-                preds = _labels_as_predictions(cid, revised.pop(cid), member_count, loop_index)
+                preds = _labels_as_predictions(cid, labels.pop(cid), loop_index)
+            truth = truths[cid]
             amap = build_attention(preds, cfg)
-            pseudo = ensemble_label(preds, cfg.binarize_threshold, truths[cid].labels)
-            reduced[cid] = (amap.total_mm3, amap.union_mask, pseudo)
+            pseudo = ensemble_label(preds, cfg.binarize_threshold, truth.labels)
+            attention_mm3, union_mask = amap.total_mm3, amap.union_mask
             # Dropped before the next lookup, so one case's channels are alive at a time.
             del preds, amap
 
-        ranking = rank_cases(
-            [CaseEntry(case_id=cid, per_organ_mm3={}, total_mm3=reduced[cid][0])
-             for cid in case_ids]
-        )
-        selected = {e.case_id for e in select_for_revision(ranking, policy.size_threshold_mm3)}
-        stopped = ranking[0].case_id not in selected  # top case confirmed untouched
-
-        results = []
-        for cid in case_ids:
-            attention_mm3, union_mask, pseudo = reduced.pop(cid)
-            truth = truths[cid]
-            final = simulate_revision(pseudo, truth, union_mask) if cid in selected else pseudo
-            revised[cid] = final
+            selected = attention_mm3 > policy.size_threshold_mm3
+            final = simulate_revision(pseudo, truth, union_mask) if selected else pseudo
+            labels[cid] = final
             residual_voxels = int(np.count_nonzero(final.grid.values != truth.grid.values))
             results.append(
                 CaseLoopResult(
                     case_id=cid,
                     attention_mm3=attention_mm3,
-                    selected=cid in selected,
+                    selected=selected,
                     dsc_before=mean_label_dsc(pseudo, truth),
                     dsc_after=mean_label_dsc(final, truth),
                     residual_error_mm3=residual_voxels * truth.grid.voxel_volume_mm3,
                 )
             )
 
-        residual_total = sum(r.residual_error_mm3 for r in results)
+        revised_count = sum(r.selected for r in results)
         reports.append(
             LoopReport(
                 loop_index=loop_index,
                 total_attention_mm3=sum(r.attention_mm3 for r in results),
-                revised_count=len(selected),
-                residual_error_mm3=residual_total,
-                stopped=stopped,
+                revised_count=revised_count,
+                residual_error_mm3=sum(r.residual_error_mm3 for r in results),
+                # The top-ranked case has the largest total: it is confirmed
+                # exactly when no case is above the cutoff.
+                stopped=revised_count == 0,
                 cases=tuple(results),
             )
         )
-        if stopped:
+        if revised_count == 0:
             break
     return reports
-
-
-def loop_report_dict(report: LoopReport) -> dict[str, object]:
-    return {
-        "loop_index": report.loop_index,
-        "total_attention_mm3": report.total_attention_mm3,
-        "revised_count": report.revised_count,
-        "residual_error_mm3": report.residual_error_mm3,
-        "stopped": report.stopped,
-        "cases": [
-            {
-                "case_id": c.case_id,
-                "attention_mm3": c.attention_mm3,
-                "selected": c.selected,
-                "dsc_before": c.dsc_before,
-                "dsc_after": c.dsc_after,
-                "residual_error_mm3": c.residual_error_mm3,
-            }
-            for c in report.cases
-        ],
-    }

@@ -14,9 +14,11 @@ campaign state).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -214,19 +216,13 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     for path in args.inputs:
         grid = corpus.read_label_grid(path)
         count = max(int(grid.values.max()), args.organ)
-        labelings.append(LabelVolume(grid, OrganLabelMap.for_channel_count(max(count, 1))))
+        labelings.append(LabelVolume(grid, OrganLabelMap.for_channel_count(count)))
         name = Path(path).name
         for suffix in (".nii.gz", ".nii"):
             if name.endswith(suffix):
                 name = name[: -len(suffix)]
                 break
         names.append(name)
-    codes = {len(lv.labels) for lv in labelings}
-    if len(codes) > 1:
-        top = max(codes)
-        labelings = [
-            LabelVolume(lv.grid, OrganLabelMap.for_channel_count(top)) for lv in labelings
-        ]
     matrix = regions.dsc_matrix(labelings, args.organ)
     rows = [[names[i]] + [repr(float(v)) for v in matrix[i]] for i in range(len(names))]
     corpus.write_csv(args.out, [""] + names, rows)
@@ -322,12 +318,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     corpus.write_json(
         args.out,
         {
-            "config": cfg.as_dict(),
-            "policy": {
-                "size_threshold_mm3": policy.size_threshold_mm3,
-                "max_loops": policy.max_loops,
-            },
-            "loops": [camp.loop_report_dict(r) for r in reports],
+            "config": asdict(cfg),
+            "policy": asdict(policy),
+            "loops": [asdict(r) for r in reports],
         },
     )
     for report in reports:
@@ -372,7 +365,14 @@ def cmd_fpscan(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    It holds no command function: ``main`` looks ``cmd_<command>`` up in this
+    module when it dispatches, so a function replaced after the first call
+    is the one that runs.
+    """
     parser = _Parser(prog=PROG, description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -382,20 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     _add_detect_flags(p)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (wall time only)")
-    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("rank", help="rank cases by attention size")
     p.add_argument("--attention", required=True, help="directory written by detect")
     p.add_argument("--out", required=True, help="ranking CSV path")
     p.add_argument("--curve", help="optional size-vs-rank curve CSV")
-    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("select", help="pick cases above a size threshold")
     p.add_argument("--ranking", required=True, help="CSV written by rank")
     p.add_argument("--threshold-mm3", type=float, required=True)
     p.add_argument("--knee", action="store_true", help="print advisory knee cutoff")
     p.add_argument("--out", help="optional CSV of the selected cases")
-    p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("evaluate", help="score attention maps against ground truth")
     p.add_argument("--attention", required=True)
@@ -403,25 +400,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="directory of ground-truth label volumes")
     p.add_argument("--out", required=True, help="metrics JSON path (CSV written alongside)")
     p.add_argument("--connectivity", type=int, default=26, choices=(6, 18, 26))
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("dsc", help="Dice similarity of two volumes")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--organ", type=int, help="compare this organ code instead of any-foreground")
-    p.set_defaults(func=cmd_dsc)
 
     p = sub.add_parser("matrix", help="pairwise Dice matrix for one organ")
     p.add_argument("--inputs", nargs="+", required=True, help="label volumes to compare")
     p.add_argument("--organ", type=int, required=True)
     p.add_argument("--out", required=True, help="matrix CSV path")
-    p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("ensemble", help="average model predictions into final labels")
     p.add_argument("--preds", nargs="+", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bin-thresh", type=float, default=0.5)
-    p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("campaign", help="track an annotation campaign")
     p.add_argument("action", choices=("init", "status", "mark", "stop-check"))
@@ -431,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", help="case id (mark)")
     p.add_argument("--status", choices=("revised", "confirmed"), help="new status (mark)")
     p.add_argument("--tag", action="append", default=[], help="free-text error tag (mark)")
-    p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("simulate", help="run the loop with a simulated annotator")
     p.add_argument("--preds", nargs="+", required=True, help="loop-0 model directories")
@@ -440,30 +432,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-mm3", type=float, default=0.0)
     p.add_argument("--out", required=True, help="report JSON path")
     _add_detect_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="workload arithmetic for a revision count")
     p.add_argument("--revised", type=int, required=True)
     p.add_argument("--total", type=int, required=True)
     p.add_argument("--minutes", type=float, default=15.0)
     p.add_argument("--hours", type=float, default=8.0)
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("fpscan", help="false positives on known-negative volumes")
     p.add_argument("--preds", required=True, help="directory of predicted label volumes")
     p.add_argument("--organ", type=int, required=True)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--connectivity", type=int, default=26, choices=(6, 18, 26))
-    p.set_defaults(func=cmd_fpscan)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, NiftiFormatError, json.JSONDecodeError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,7 @@ import json
 import os
 import re
 from collections.abc import Iterator, Mapping
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -238,21 +239,30 @@ def write_attention_outputs(
             labels.name_of(code): amap.per_organ_mm3[code - 1] for code in labels.codes
         },
         "total_mm3": amap.total_mm3,
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
     }
     write_json(sizes_path(out_dir, amap.case_id), sizes)
     return sizes
 
 
 def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
-    """All *_sizes.json sidecars of an attention directory, sorted by case id."""
+    """All *_sizes.json sidecars of an attention directory, sorted by case id.
+
+    Every sidecar must carry the organ names and detection config of the
+    first one, so the cases can share one ranking, report and campaign.
+    """
     attention_dir = Path(attention_dir)
     if not attention_dir.is_dir():
         raise CorpusError(f"{attention_dir}: not a directory")
+    paths = sorted(attention_dir.glob("*_sizes.json"))
     sizes = []
-    for path in sorted(attention_dir.glob("*_sizes.json")):
+    for path in paths:
         sizes.append(json.loads(path.read_text(encoding="utf-8")))
         _check_case_id(sizes[-1]["case_id"], path)
+        for key in ("organ_names", "config"):
+            if sizes[-1].get(key) != sizes[0].get(key):
+                raise CorpusError(f"{path}: field {key!r} is {sizes[-1].get(key)!r}, "
+                                  f"but {paths[0]} has {sizes[0].get(key)!r}")
     if not sizes:
         raise CorpusError(f"{attention_dir}: no *_sizes.json files found")
     return sorted(sizes, key=lambda s: s["case_id"])

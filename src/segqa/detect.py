@@ -76,14 +76,6 @@ class DetectionConfig:
                 f"min_component_voxels must be >= 0, got {self.min_component_voxels}"
             )
 
-    def as_dict(self) -> dict[str, float | int]:
-        return {
-            "std_threshold": self.std_threshold,
-            "entropy_threshold": self.entropy_threshold,
-            "binarize_threshold": self.binarize_threshold,
-            "min_component_voxels": self.min_component_voxels,
-        }
-
 
 @dataclass(frozen=True)
 class CriterionMasks:

@@ -17,6 +17,11 @@ per-component minimum over a linear x-fastest index.
 
 The per-organ Dice loop is the mean label Dice as the library computed it
 before it read every organ's counts from one joint histogram.
+
+The two-pass loop runner is ``run_loop`` as the library ran it before it
+made one pass per case: it reduced every case into a table, ranked the table
+with ``CaseEntry`` rows, and then revised and scored every case in a second
+pass; later loops recycled the revised labels as one member per loop-0 model.
 """
 
 from __future__ import annotations
@@ -258,3 +263,101 @@ def per_organ_mean_dsc(a: np.ndarray, b: np.ndarray, codes) -> float:
         else:
             scores.append(2.0 * int(np.count_nonzero(ma & mb)) / (na + nb))
     return float(np.mean(scores))
+
+
+def _labels_as_predictions(case_id, label, members, loop_index):
+    from segqa.volume import PredictionSet, SoftPrediction, soft_from_labels
+
+    channels = soft_from_labels(label)
+    return PredictionSet(
+        case_id=case_id,
+        members=tuple(
+            SoftPrediction(model_id=f"revised-loop{loop_index}-m{k}", channels=channels)
+            for k in range(members)
+        ),
+    )
+
+
+def two_pass_run_loop(loop0, truths, cfg=None, policy=None):
+    """The loop runner with a reduced table, a ranking pass and K-member later loops."""
+    from segqa.campaign import (
+        CampaignError,
+        CaseEntry,
+        CaseLoopResult,
+        LoopPolicy,
+        LoopReport,
+        MissingPredictionsError,
+        rank_cases,
+        select_for_revision,
+        simulate_revision,
+    )
+    from segqa.detect import DetectionConfig, build_attention
+    from segqa.ensemble import ensemble_label
+    from segqa.regions import mean_label_dsc
+
+    cfg = cfg or DetectionConfig()
+    policy = policy or LoopPolicy()
+    if not loop0:
+        raise MissingPredictionsError("no predictions for loop 0")
+    case_ids = sorted(loop0)
+    if sorted(truths) != case_ids:
+        missing = sorted(set(case_ids) ^ set(truths))
+        raise CampaignError(f"prediction/truth case mismatch: {missing}")
+
+    member_count = 0
+    revised = {}
+    reports = []
+
+    for loop_index in range(policy.max_loops):
+        # Per case: attention total, union mask and consensus labels.
+        reduced = {}
+        for cid in case_ids:
+            if loop_index == 0:
+                preds = loop0[cid]
+                member_count = member_count or preds.num_members
+            else:
+                preds = _labels_as_predictions(cid, revised.pop(cid), member_count, loop_index)
+            amap = build_attention(preds, cfg)
+            pseudo = ensemble_label(preds, cfg.binarize_threshold, truths[cid].labels)
+            reduced[cid] = (amap.total_mm3, amap.union_mask, pseudo)
+            del preds, amap
+
+        ranking = rank_cases(
+            [CaseEntry(case_id=cid, per_organ_mm3={}, total_mm3=reduced[cid][0])
+             for cid in case_ids]
+        )
+        selected = {e.case_id for e in select_for_revision(ranking, policy.size_threshold_mm3)}
+        stopped = ranking[0].case_id not in selected  # top case confirmed untouched
+
+        results = []
+        for cid in case_ids:
+            attention_mm3, union_mask, pseudo = reduced.pop(cid)
+            truth = truths[cid]
+            final = simulate_revision(pseudo, truth, union_mask) if cid in selected else pseudo
+            revised[cid] = final
+            residual_voxels = int(np.count_nonzero(final.grid.values != truth.grid.values))
+            results.append(
+                CaseLoopResult(
+                    case_id=cid,
+                    attention_mm3=attention_mm3,
+                    selected=cid in selected,
+                    dsc_before=mean_label_dsc(pseudo, truth),
+                    dsc_after=mean_label_dsc(final, truth),
+                    residual_error_mm3=residual_voxels * truth.grid.voxel_volume_mm3,
+                )
+            )
+
+        residual_total = sum(r.residual_error_mm3 for r in results)
+        reports.append(
+            LoopReport(
+                loop_index=loop_index,
+                total_attention_mm3=sum(r.attention_mm3 for r in results),
+                revised_count=len(selected),
+                residual_error_mm3=residual_total,
+                stopped=stopped,
+                cases=tuple(results),
+            )
+        )
+        if stopped:
+            break
+    return reports

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grids import make_grid, prediction_set
+from oracles import two_pass_run_loop
 from segqa.campaign import (
     CampaignError,
     CampaignState,
@@ -448,3 +449,83 @@ class TestRunLoop:
         reports = run_loop(FreshLookups(sets, make=looked_up(PredictionSet)), truths)
         assert len(reports) == 2
         assert alive_at_lookup == [0] * (2 * len(sets))
+
+
+def loop_corpus(seed, cases, dims=(6, 5, 4), members=3, organs=2):
+    """Random cases whose members waver on a per-case share of voxels.
+
+    Each case also gets a box where every member agrees on wrong codes, an
+    error the attention map cannot flag, so revision leaves a residual.
+    """
+    rng = np.random.default_rng(seed)
+    labels = OrganLabelMap.generic(organs)
+    sets, truths = {}, {}
+    for i in range(cases):
+        truth = rng.integers(0, organs + 1, size=dims).astype(np.uint8)
+        shared = truth.copy()
+        x, y, z = (int(rng.integers(0, n)) for n in dims)
+        shared[x:x + 2, y:y + 2, z:z + 2] = rng.integers(0, organs + 1)
+        waver_share = rng.uniform(0.0, 0.4)
+        member_channels = [
+            [
+                np.where(rng.random(dims) < waver_share, rng.random(dims),
+                         (shared == code).astype(np.float32))
+                for code in labels.codes
+            ]
+            for _ in range(members)
+        ]
+        cid = f"c{i}"
+        sets[cid] = prediction_set(cid, member_channels)
+        truths[cid] = LabelVolume(make_grid(truth, dtype=np.uint8), labels)
+    return sets, truths
+
+
+def cutoff_between(totals, pick):
+    """A cutoff halfway between two adjacent distinct case totals, or None."""
+    distinct = sorted(set(totals))
+    if len(distinct) < 2:
+        return None
+    i = pick % (len(distinct) - 1)
+    return (distinct[i] + distinct[i + 1]) / 2
+
+
+class TestRunLoopMatchesTwoPassReference:
+    """run_loop returns the reports of the two-pass, K-member reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cases=st.integers(2, 5),
+        max_loops=st.integers(1, 3),
+        cutoff=st.sampled_from(["zero", "between", "above"]),
+        pick=st.integers(0, 10),
+    )
+    def test_random_corpora(self, seed, cases, max_loops, cutoff, pick):
+        sets, truths = loop_corpus(seed, cases)
+        totals = [build_attention(ps).total_mm3 for ps in sets.values()]
+        threshold = {
+            "zero": 0.0,
+            "between": cutoff_between(totals, pick),
+            "above": max(totals) + 1.0,
+        }[cutoff]
+        if threshold is None:
+            return
+        policy = LoopPolicy(size_threshold_mm3=threshold, max_loops=max_loops)
+        reports = run_loop(sets, truths, policy=policy)
+        assert reports == two_pass_run_loop(sets, truths, policy=policy)
+        # Recycled hard labels never disagree, waver or overlap.
+        assert all(r.total_attention_mm3 == 0 and r.stopped for r in reports[1:])
+
+    @pytest.mark.parametrize("max_loops", [1, 2, 3])
+    def test_some_cases_selected_above_a_positive_cutoff(self, max_loops):
+        """The cutoff sits just below the largest total: only the top case is
+        revised, so loop 0 does not stop although the other cases are not."""
+        sets, truths = loop_corpus(11, 4)
+        totals = sorted(build_attention(ps).total_mm3 for ps in sets.values())
+        policy = LoopPolicy(size_threshold_mm3=cutoff_between(totals, len(totals) - 2),
+                            max_loops=max_loops)
+        reference = two_pass_run_loop(sets, truths, policy=policy)
+        assert policy.size_threshold_mm3 > 0
+        assert [c.selected for c in reference[0].cases].count(True) == 1
+        assert reference[0].stopped is False
+        assert run_loop(sets, truths, policy=policy) == reference

@@ -590,6 +590,55 @@ class TestCampaignCli:
                      "--status", "revised"]) == 1
 
 
+class TestMixedSidecars:
+    """An attention directory whose sidecars disagree on organ names or config."""
+
+    @pytest.fixture(params=["organ_names", "config"])
+    def mixed(self, request, blob_corpus):
+        root, _ = blob_corpus
+        out = root / "attention"
+        assert main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
+                     "--out", str(out)]) == 0
+        sizes = json.loads((out / "case1_sizes.json").read_text())
+        field = request.param
+        changed = {
+            "organ_names": ["liver"],
+            "config": dict(sizes["config"], std_threshold=0.2),
+        }[field]
+        other = out / "case2_sizes.json"
+        other.write_text(json.dumps(dict(sizes, case_id="case2", **{field: changed})))
+        return root, out, other, field
+
+    def assert_names_file_and_field(self, capsys, other, field):
+        err = capsys.readouterr().err
+        assert str(other) in err and repr(field) in err
+
+    def test_rank_fails(self, mixed, capsys, tmp_path):
+        _, out, other, field = mixed
+        ranking = tmp_path / "ranking.csv"
+        assert main(["rank", "--attention", str(out), "--out", str(ranking)]) == 1
+        self.assert_names_file_and_field(capsys, other, field)
+        assert not ranking.exists()
+
+    def test_evaluate_fails(self, mixed, capsys, tmp_path):
+        root, out, other, field = mixed
+        for labels in ("pseudo", "truth"):
+            for case in ("case1", "case2"):
+                write_labels(root / labels / f"{case}.nii.gz", np.zeros((6, 6, 6)))
+        metrics = tmp_path / "metrics.json"
+        assert main(["evaluate", "--attention", str(out), "--pseudo", str(root / "pseudo"),
+                     "--truth", str(root / "truth"), "--out", str(metrics)]) == 1
+        self.assert_names_file_and_field(capsys, other, field)
+        assert not metrics.exists()
+
+    def test_campaign_init_fails(self, mixed, capsys):
+        root, out, other, field = mixed
+        state = root / "campaign.json"
+        assert main(["campaign", "init", "--state", str(state), "--attention", str(out)]) == 1
+        self.assert_names_file_and_field(capsys, other, field)
+        assert not state.exists()
+
+
 class TestSimulateCli:
     def test_report_written(self, blob_corpus, tmp_path):
         root, blob_voxels = blob_corpus
@@ -724,3 +773,31 @@ class TestExitCodes:
         bad = tmp_path / "bad.nii"
         bad.write_bytes(b"garbage")
         assert main(["dsc", "--a", str(bad), "--b", str(bad)]) == 1
+
+
+class TestParserBuiltOnce:
+    def test_two_calls_build_the_parser_once(self, capsys):
+        from segqa import cli
+
+        cli.build_parser.cache_clear()
+        assert main(["estimate", "--revised", "1", "--total", "2"]) == 0
+        assert main(["estimate", "--revised", "3", "--total", "4"]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_command_replaced_after_the_first_call_is_the_one_run(self, monkeypatch, capsys):
+        from segqa import cli
+
+        assert main(["estimate", "--revised", "1", "--total", "2"]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_estimate", lambda args: calls.append(args.revised) or 0)
+        assert main(["estimate", "--revised", "3", "--total", "4"]) == 0
+        assert calls == [3]
+
+    def test_appended_tags_do_not_leak_into_the_next_parse(self):
+        from segqa import cli
+
+        parser = cli.build_parser()
+        first = parser.parse_args(["campaign", "mark", "--state", "s", "--tag", "x"])
+        second = parser.parse_args(["campaign", "mark", "--state", "s"])
+        assert (first.tag, second.tag) == (["x"], [])
