@@ -29,7 +29,6 @@ from .ensemble import ensemble_label
 from .nifti import NiftiFormatError, read_volume, write_volume
 from .regions import (
     ConfusionCounts,
-    MetricsReport,
     componentwise_metrics,
     connected_components,
     dsc,
@@ -59,7 +58,6 @@ __all__ = [
     "DetectionConfig",
     "LabelVolume",
     "LoopPolicy",
-    "MetricsReport",
     "NiftiFormatError",
     "OrganLabelMap",
     "PredictionSet",

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, get_origin, get_type_hints
 
 import numpy as np
 
@@ -127,8 +130,8 @@ def select_for_revision(
     ranking: Sequence[CaseEntry], size_threshold_mm3: float
 ) -> list[CaseEntry]:
     """Cases whose total attention size exceeds the cutoff, in rank order."""
-    if size_threshold_mm3 < 0:
-        raise CampaignError(f"size threshold must be >= 0, got {size_threshold_mm3}")
+    if not 0 <= size_threshold_mm3 < math.inf:
+        raise CampaignError(f"size threshold must be >= 0 and finite, got {size_threshold_mm3}")
     return [e for e in ranking if e.total_mm3 > size_threshold_mm3]
 
 
@@ -186,8 +189,11 @@ def estimate_workload(
     """Annotator-days and human-refined fraction for a revision campaign."""
     if total_cases <= 0:
         raise CampaignError(f"total_cases must be positive, got {total_cases}")
-    if minutes_per_case <= 0 or hours_per_day <= 0:
-        raise CampaignError("minutes_per_case and hours_per_day must be positive")
+    if not (0 < minutes_per_case < math.inf and 0 < hours_per_day < math.inf):
+        raise CampaignError(
+            f"minutes_per_case and hours_per_day must be finite and positive, "
+            f"got {minutes_per_case} and {hours_per_day}"
+        )
     if revision_count < 0 or revision_count > total_cases:
         raise CampaignError(
             f"revision_count must be in 0..{total_cases}, got {revision_count}"
@@ -239,32 +245,6 @@ def stopping_check(state: CampaignState) -> bool:
 
 # -- persistence -------------------------------------------------------------
 
-def _entry_to_dict(entry: CaseEntry) -> dict[str, object]:
-    return {
-        "case_id": entry.case_id,
-        "per_organ_mm3": entry.per_organ_mm3,
-        "total_mm3": entry.total_mm3,
-        "status": entry.status,
-        "loop_seen": entry.loop_seen,
-        "error_tags": list(entry.error_tags),
-        "created_at": entry.created_at,
-        "updated_at": entry.updated_at,
-    }
-
-
-def _entry_from_dict(d: Mapping[str, object]) -> CaseEntry:
-    return CaseEntry(
-        case_id=d["case_id"],
-        per_organ_mm3=dict(d["per_organ_mm3"]),
-        total_mm3=float(d["total_mm3"]),
-        status=d["status"],
-        loop_seen=int(d["loop_seen"]),
-        error_tags=tuple(d.get("error_tags", ())),
-        created_at=d["created_at"],
-        updated_at=d["updated_at"],
-    )
-
-
 class _FileLock:
     """Advisory exclusive lock guarding writes to the campaign state file."""
 
@@ -293,12 +273,9 @@ class _FileLock:
 
 def _write_state(state: CampaignState, path: Path) -> None:
     """Write a temp file, flush it to disk, then rename it over the state file."""
-    payload = {
-        "version": STATE_VERSION,
-        "loop_index": state.loop_index,
-        "config": state.config,
-        "cases": [_entry_to_dict(c) for c in state.cases],
-    }
+    # vars(), not asdict(): asdict deep-copies every entry, which costs more
+    # than the encoding itself at corpus scale. json writes tuples as arrays.
+    payload = {**vars(state), "version": STATE_VERSION, "cases": [vars(c) for c in state.cases]}
     # No indent: json encodes in C only without one, and the lock is held meanwhile.
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
     with open_replacing(path, "w", encoding="utf-8") as f:
@@ -307,17 +284,42 @@ def _write_state(state: CampaignState, path: Path) -> None:
         os.fsync(f.fileno())
 
 
+# JSON has no tuple, and a float may be written as a whole number.
+_JSON_SPELLINGS = {tuple: list, float: (int, float)}
+
+
+def _check_fields(cls: type, records: list) -> None:
+    """Refuse records that are not objects holding exactly cls's fields, each of its type."""
+    kinds = {name: get_origin(hint) or hint for name, hint in get_type_hints(cls).items()}
+    for record in records:
+        if not isinstance(record, dict):
+            raise CampaignError(f"{cls.__name__}: expected an object, got {record!r}")
+        if record.keys() != kinds.keys():
+            raise CampaignError(
+                f"{cls.__name__}: missing fields {sorted(kinds.keys() - record.keys())}, "
+                f"unknown fields {sorted(record.keys() - kinds.keys())}"
+            )
+    # One field across all records at a time, so that isinstance runs in C: a state
+    # holds thousands of entries and is read on every mark.
+    for name, kind in kinds.items():
+        kind = _JSON_SPELLINGS.get(kind, kind)
+        if not all(map(isinstance, map(itemgetter(name), records), repeat(kind))):
+            bad = next(r[name] for r in records if not isinstance(r[name], kind))
+            raise CampaignError(f"{cls.__name__}: field {name!r} has the wrong type: {bad!r}")
+
+
 def _read_state(path: Path) -> CampaignState:
     payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("version") != STATE_VERSION:
-        raise CampaignError(
-            f"{path}: unsupported state version {payload.get('version')!r}"
-        )
-    return CampaignState(
-        cases=tuple(_entry_from_dict(d) for d in payload["cases"]),
-        loop_index=int(payload["loop_index"]),
-        config=dict(payload["config"]),
-    )
+    version = payload.pop("version", None) if isinstance(payload, dict) else None
+    if version != STATE_VERSION:
+        raise CampaignError(f"{path}: unsupported state version {version!r}")
+    try:
+        _check_fields(CampaignState, [payload])
+        _check_fields(CaseEntry, payload["cases"])
+        cases = [CaseEntry(**entry) for entry in payload["cases"]]
+        return CampaignState(**{**payload, "cases": cases})
+    except CampaignError as exc:
+        raise CampaignError(f"{path}: {exc}") from None
 
 
 def save_state(state: CampaignState, path: str | Path) -> None:
@@ -365,8 +367,10 @@ class LoopPolicy:
     max_loops: int = 2
 
     def __post_init__(self) -> None:
-        if self.size_threshold_mm3 < 0:
-            raise CampaignError("size_threshold_mm3 must be >= 0")
+        if not 0 <= self.size_threshold_mm3 < math.inf:
+            raise CampaignError(
+                f"size_threshold_mm3 must be >= 0 and finite, got {self.size_threshold_mm3}"
+            )
         if self.max_loops < 1:
             raise CampaignError("max_loops must be >= 1")
 

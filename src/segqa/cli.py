@@ -28,7 +28,7 @@ from . import campaign as camp
 from . import corpus, regions
 from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
-from .nifti import NiftiFormatError, open_replacing, write_volume
+from .nifti import NiftiFormatError, write_volume
 from .volume import LabelVolume, OrganLabelMap, VolumeGrid
 
 PROG = "segqa"
@@ -158,7 +158,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pseudo_files = corpus.find_label_volumes(args.pseudo)
     truth_files = corpus.find_label_volumes(args.truth)
 
-    reports = []
+    # read_sizes refuses sidecars whose config differs, so the first one speaks for all.
+    provenance = {
+        "connectivity": args.connectivity,
+        "detect_config": sizes[0]["config"],
+        "attention_dir": str(args.attention),
+        "pseudo_dir": str(args.pseudo),
+        "truth_dir": str(args.truth),
+        "dsc_empty_convention": 1.0,
+    }
+    cases = {}
     for s in sizes:
         case_id = str(s["case_id"])
         if case_id not in pseudo_files or case_id not in truth_files:
@@ -166,28 +175,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         attention_masks = corpus.load_attention_masks(args.attention, case_id, organ_count)
         pseudo = corpus.load_label_volume(pseudo_files[case_id], labels)
         truth = corpus.load_label_volume(truth_files[case_id], labels)
-        reports.append(
-            regions.evaluate_case(
-                case_id,
-                attention_masks,
-                pseudo,
-                truth,
-                connectivity=args.connectivity,
-                provenance={
-                    "connectivity": args.connectivity,
-                    "detect_config": s["config"],
-                    "attention_dir": str(args.attention),
-                    "pseudo_dir": str(args.pseudo),
-                    "truth_dir": str(args.truth),
-                },
-            )
+        cases[case_id] = regions.evaluate_case(
+            case_id, attention_masks, pseudo, truth, connectivity=args.connectivity
         )
 
-    corpus.write_json(args.out, regions.metrics_json_dict(reports))
+    corpus.write_json(args.out, regions.metrics_json_dict(cases, provenance))
     csv_path = Path(args.out).with_suffix(".csv")
-    with open_replacing(csv_path, "w", encoding="utf-8") as f:
-        f.write(regions.metrics_csv(reports))
-    print(f"evaluate: wrote {args.out} and {csv_path} ({len(reports)} cases)")
+    corpus.write_csv(csv_path, regions.METRICS_CSV_HEADER, regions.metrics_csv_rows(cases))
+    print(f"evaluate: wrote {args.out} and {csv_path} ({len(cases)} cases)")
     return 0
 
 
@@ -218,11 +213,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         count = max(int(grid.values.max()), args.organ)
         labelings.append(LabelVolume(grid, OrganLabelMap.for_channel_count(count)))
         name = Path(path).name
-        for suffix in (".nii.gz", ".nii"):
-            if name.endswith(suffix):
-                name = name[: -len(suffix)]
-                break
-        names.append(name)
+        match = corpus.LABEL_RE.match(name)
+        names.append(match.group("case") if match else name)
     matrix = regions.dsc_matrix(labelings, args.organ)
     rows = [[names[i]] + [repr(float(v)) for v in matrix[i]] for i in range(len(names))]
     corpus.write_csv(args.out, [""] + names, rows)

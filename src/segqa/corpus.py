@@ -46,6 +46,7 @@ from .volume import (
 CHANNEL_RE = re.compile(r"^(?P<case>.+)_organ(?P<code>\d+)\.nii(\.gz)?$")
 LABEL_RE = re.compile(r"^(?P<case>.+)\.nii(\.gz)?$")
 MANIFEST_NAME = "manifest.json"
+MANIFEST_SHAPE = '{"cases": {case id: {organ code: channel path}}}'
 
 
 class CorpusError(ValueError):
@@ -79,10 +80,16 @@ def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, Path]]:
     manifest = model_dir / MANIFEST_NAME
     if manifest.is_file():
         listing = json.loads(manifest.read_text(encoding="utf-8"))
+        cases = listing.get("cases", {}) if isinstance(listing, dict) else None
+        if not isinstance(cases, dict) or not all(isinstance(c, dict) for c in cases.values()):
+            raise CorpusError(f"{manifest}: expected {MANIFEST_SHAPE}")
         out: dict[str, dict[int, Path]] = {}
-        for case_id, channels in listing.get("cases", {}).items():
+        for case_id, channels in cases.items():
             _check_case_id(case_id, manifest)
             for code, rel in channels.items():
+                if not code.isdecimal() or not isinstance(rel, str):
+                    raise CorpusError(f"{manifest}: case {case_id!r}: expected {MANIFEST_SHAPE}, "
+                                      f"got {code!r}: {rel!r}")
                 if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == "..":
                     raise CorpusError(f"{manifest}: case {case_id!r}, organ {code}: channel path "
                                       f"{rel!r} is absolute or leaves {model_dir}")
@@ -249,16 +256,24 @@ def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
     """All *_sizes.json sidecars of an attention directory, sorted by case id.
 
     Every sidecar must carry the organ names and detection config of the
-    first one, so the cases can share one ranking, report and campaign.
+    first one, so the cases can share one ranking, report and campaign, and
+    a case id that no other sidecar has.
     """
     attention_dir = Path(attention_dir)
     if not attention_dir.is_dir():
         raise CorpusError(f"{attention_dir}: not a directory")
     paths = sorted(attention_dir.glob("*_sizes.json"))
     sizes = []
+    sources: dict[str, Path] = {}
     for path in paths:
         sizes.append(json.loads(path.read_text(encoding="utf-8")))
-        _check_case_id(sizes[-1]["case_id"], path)
+        if not isinstance(sizes[-1], dict):
+            raise CorpusError(f"{path}: expected a JSON object, got {sizes[-1]!r}")
+        case_id = sizes[-1].get("case_id")
+        _check_case_id(case_id, path)
+        if case_id in sources:
+            raise CorpusError(f"{path}: case id {case_id!r} is also in {sources[case_id]}")
+        sources[case_id] = path
         for key in ("organ_names", "config"):
             if sizes[-1].get(key) != sizes[0].get(key):
                 raise CorpusError(f"{path}: field {key!r} is {sizes[-1].get(key)!r}, "

@@ -10,9 +10,7 @@ where the metric means something.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,19 +41,14 @@ class ConfusionCounts:
 
 @dataclass(frozen=True)
 class OrganMetrics:
+    """One organ's detection quality; the field order is the metrics CSV's column order."""
+
     sensitivity: float | None
     precision: float | None
-    counts: ConfusionCounts
+    tp: int
+    fp: int
+    fn: int
     dsc: float
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Per-organ detection quality for one case, plus provenance for replay."""
-
-    case_id: str
-    organs: dict[str, OrganMetrics]
-    provenance: dict[str, object]
 
 
 def connected_components(mask: VolumeGrid, connectivity: int = 26) -> tuple[np.ndarray, int]:
@@ -220,11 +213,11 @@ def evaluate_case(
     pseudo: LabelVolume,
     truth: LabelVolume,
     connectivity: int = 26,
-    provenance: Mapping[str, object] | None = None,
-) -> MetricsReport:
+) -> dict[str, OrganMetrics]:
     """Score one case's per-organ attention masks against the error benchmark.
 
     attention_masks[i] belongs to organ code i + 1 of the pseudo label map.
+    The metrics are keyed by organ name, in code order.
     """
     if pseudo.labels.codes != truth.labels.codes:
         raise AlignmentError("pseudo and truth label volumes use different organ maps")
@@ -240,68 +233,43 @@ def evaluate_case(
             attention_masks[code - 1], benchmark, connectivity
         )
         organs[name] = OrganMetrics(
-            sensitivity=sensitivity, precision=precision, counts=counts, dsc=organ_dsc
+            sensitivity=sensitivity, precision=precision, dsc=organ_dsc, **vars(counts)
         )
-    prov = dict(provenance or {})
-    prov.setdefault("connectivity", connectivity)
-    prov.setdefault("dsc_empty_convention", 1.0)
-    return MetricsReport(case_id=case_id, organs=organs, provenance=prov)
+    return organs
 
 
-def _cell(value: float | None) -> str:
-    return "undefined" if value is None else repr(float(value))
+METRICS_CSV_HEADER = ("case_id", "organ", *(f.name for f in fields(OrganMetrics)))
 
 
-METRICS_CSV_HEADER = ("case_id", "organ", "sensitivity", "precision", "tp", "fp", "fn", "dsc")
+def metrics_csv_rows(cases: Mapping[str, Mapping[str, OrganMetrics]]) -> list[list[str]]:
+    """One row per (case, organ) under METRICS_CSV_HEADER; undefined metrics spelled out."""
+    return [
+        [case_id, organ, *("undefined" if v is None else repr(v) for v in vars(m).values())]
+        for case_id, organs in cases.items()
+        for organ, m in organs.items()
+    ]
 
 
-def metrics_csv(reports: Sequence[MetricsReport]) -> str:
-    """One CSV row per (case, organ); undefined metrics spelled out."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METRICS_CSV_HEADER)
-    for report in reports:
-        for organ, m in report.organs.items():
-            writer.writerow(
-                [
-                    report.case_id,
-                    organ,
-                    _cell(m.sensitivity),
-                    _cell(m.precision),
-                    m.counts.tp,
-                    m.counts.fp,
-                    m.counts.fn,
-                    repr(m.dsc),
-                ]
-            )
-    return buf.getvalue()
-
-
-def metrics_json_dict(reports: Sequence[MetricsReport]) -> dict[str, object]:
+def metrics_json_dict(
+    cases: Mapping[str, Mapping[str, OrganMetrics]], provenance: Mapping[str, object]
+) -> dict[str, object]:
     """JSON-ready structure with per-case detail and per-organ means over defined values."""
-    cases = {}
-    for report in reports:
-        cases[report.case_id] = {
-            organ: {
-                "sensitivity": m.sensitivity,
-                "precision": m.precision,
-                "tp": m.counts.tp,
-                "fp": m.counts.fp,
-                "fn": m.counts.fn,
-                "dsc": m.dsc,
-            }
-            for organ, m in report.organs.items()
-        }
     summary: dict[str, dict[str, float | None]] = {}
-    for organ in dict.fromkeys(organ for report in reports for organ in report.organs):
+    for organ in dict.fromkeys(organ for organs in cases.values() for organ in organs):
         for key in ("sensitivity", "precision", "dsc"):
             values = [
-                getattr(report.organs[organ], key)
-                for report in reports
-                if organ in report.organs and getattr(report.organs[organ], key) is not None
+                getattr(organs[organ], key)
+                for organs in cases.values()
+                if organ in organs and getattr(organs[organ], key) is not None
             ]
             summary.setdefault(organ, {})[key] = (
                 float(np.mean(values)) if values else None
             )
-    provenance = dict(reports[0].provenance) if reports else {}
-    return {"cases": cases, "summary": summary, "provenance": provenance}
+    return {
+        "cases": {
+            case_id: {organ: vars(m) for organ, m in organs.items()}
+            for case_id, organs in cases.items()
+        },
+        "summary": summary,
+        "provenance": dict(provenance),
+    }

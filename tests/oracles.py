@@ -22,11 +22,20 @@ The two-pass loop runner is ``run_loop`` as the library ran it before it
 made one pass per case: it reduced every case into a table, ranked the table
 with ``CaseEntry`` rows, and then revised and scored every case in a second
 pass; later loops recycled the revised labels as one member per loop-0 model.
+
+The report and state writers are the metrics JSON, the metrics CSV and the
+campaign state as the library wrote them while it listed each record's
+fields by hand: a ``MetricsReport`` per case whose ``OrganMetrics`` nested
+the confusion counts, and a ``CaseEntry`` spelled out field by field.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -361,3 +370,103 @@ def two_pass_run_loop(loop0, truths, cfg=None, policy=None):
         if stopped:
             break
     return reports
+
+
+@dataclass(frozen=True)
+class OrganMetrics:
+    sensitivity: float | None
+    precision: float | None
+    counts: object  # segqa.regions.ConfusionCounts
+    dsc: float
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    """Per-organ detection quality for one case, plus provenance for replay."""
+
+    case_id: str
+    organs: dict[str, OrganMetrics]
+    provenance: dict[str, object]
+
+
+def _cell(value: float | None) -> str:
+    return "undefined" if value is None else repr(float(value))
+
+
+METRICS_CSV_HEADER = ("case_id", "organ", "sensitivity", "precision", "tp", "fp", "fn", "dsc")
+
+
+def metrics_csv(reports) -> str:
+    """One CSV row per (case, organ); undefined metrics spelled out."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(METRICS_CSV_HEADER)
+    for report in reports:
+        for organ, m in report.organs.items():
+            writer.writerow(
+                [
+                    report.case_id,
+                    organ,
+                    _cell(m.sensitivity),
+                    _cell(m.precision),
+                    m.counts.tp,
+                    m.counts.fp,
+                    m.counts.fn,
+                    repr(m.dsc),
+                ]
+            )
+    return buf.getvalue()
+
+
+def metrics_json_dict(reports) -> dict[str, object]:
+    """JSON-ready structure with per-case detail and per-organ means over defined values."""
+    cases = {}
+    for report in reports:
+        cases[report.case_id] = {
+            organ: {
+                "sensitivity": m.sensitivity,
+                "precision": m.precision,
+                "tp": m.counts.tp,
+                "fp": m.counts.fp,
+                "fn": m.counts.fn,
+                "dsc": m.dsc,
+            }
+            for organ, m in report.organs.items()
+        }
+    summary: dict[str, dict[str, float | None]] = {}
+    for organ in dict.fromkeys(organ for report in reports for organ in report.organs):
+        for key in ("sensitivity", "precision", "dsc"):
+            values = [
+                getattr(report.organs[organ], key)
+                for report in reports
+                if organ in report.organs and getattr(report.organs[organ], key) is not None
+            ]
+            summary.setdefault(organ, {})[key] = (
+                float(np.mean(values)) if values else None
+            )
+    provenance = dict(reports[0].provenance) if reports else {}
+    return {"cases": cases, "summary": summary, "provenance": provenance}
+
+
+def _entry_to_dict(entry) -> dict[str, object]:
+    return {
+        "case_id": entry.case_id,
+        "per_organ_mm3": entry.per_organ_mm3,
+        "total_mm3": entry.total_mm3,
+        "status": entry.status,
+        "loop_seen": entry.loop_seen,
+        "error_tags": list(entry.error_tags),
+        "created_at": entry.created_at,
+        "updated_at": entry.updated_at,
+    }
+
+
+def state_text(state) -> str:
+    """The text the state writer put in the file, from the hand-listed entry fields."""
+    payload = {
+        "version": 1,
+        "loop_index": state.loop_index,
+        "config": state.config,
+        "cases": [_entry_to_dict(c) for c in state.cases],
+    }
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"

@@ -1,6 +1,10 @@
+import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import weakref
 from collections.abc import Mapping
 from pathlib import Path
@@ -10,16 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from grids import make_grid, prediction_set
 from oracles import two_pass_run_loop
 from segqa.campaign import (
     CampaignError,
     CampaignState,
+    STATUSES,
     CaseEntry,
     IllegalTransitionError,
     LoopPolicy,
     MissingPredictionsError,
     UnknownCaseError,
+    _read_state,
+    _write_state,
     estimate_workload,
     knee_suggestion,
     load_state,
@@ -92,6 +100,16 @@ class TestSelection:
         with pytest.raises(CampaignError):
             select_for_revision(rank_cases([entry("a", 1)]), -1)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(CampaignError, match="finite"):
+            select_for_revision(rank_cases([entry("a", 1)]), threshold)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_loop_cutoff_rejected(self, threshold):
+        with pytest.raises(CampaignError, match="finite"):
+            LoopPolicy(size_threshold_mm3=threshold)
+
 
 class TestKnee:
     def test_finds_big_drop(self):
@@ -128,6 +146,13 @@ class TestWorkload:
             estimate_workload(10, 5)
         with pytest.raises(CampaignError):
             estimate_workload(1, 10, minutes_per_case=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rates(self, value):
+        with pytest.raises(CampaignError, match="finite"):
+            estimate_workload(1, 10, minutes_per_case=value)
+        with pytest.raises(CampaignError, match="finite"):
+            estimate_workload(1, 10, hours_per_day=value)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -249,6 +274,113 @@ class TestPersistence:
         assert {c.case_id: c.status for c in load_state(path).cases} == dict.fromkeys(
             ids, "revised"
         )
+
+
+PINNED = "2026-01-02T03:04:05+00:00"
+# Free text an annotator might type: non-ASCII, quotes and commas included.
+free_text = st.text(max_size=8) | st.sampled_from(["Leberrand", "胰腺", "naïve \"tag\"", "a,b"])
+
+
+@st.composite
+def campaign_states(draw):
+    ids = draw(st.lists(free_text.filter(bool), min_size=1, max_size=6, unique=True))
+    sizes = st.floats(0, 1e9, allow_nan=False, allow_infinity=False)
+    cases = tuple(
+        CaseEntry(
+            case_id=cid,
+            per_organ_mm3=draw(st.dictionaries(free_text, sizes, max_size=4)),
+            total_mm3=draw(sizes),
+            status=draw(st.sampled_from(STATUSES)),
+            loop_seen=draw(st.integers(0, 5)),
+            error_tags=tuple(draw(st.lists(free_text, max_size=3))),
+            created_at=PINNED,
+            updated_at=PINNED,
+        )
+        for cid in ids
+    )
+    config = draw(st.dictionaries(free_text, st.integers() | sizes | free_text, max_size=4))
+    return CampaignState(cases=cases, loop_index=draw(st.integers(0, 5)), config=config)
+
+
+class TestStateMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(campaign_states())
+    def test_written_bytes_and_read_back_fields(self, state):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "campaign.json"
+            _write_state(state, path)
+            assert path.read_bytes() == oracles.state_text(state).encode("utf-8")
+            back = _read_state(path)
+        assert back == state
+        for got, want in zip(back.cases, state.cases):
+            assert type(got.error_tags) is tuple
+            assert (got.created_at, got.updated_at) == (PINNED, PINNED)
+            assert got.per_organ_mm3 == want.per_organ_mm3
+
+
+def valid_state_payload():
+    return {
+        "version": 1,
+        "loop_index": 0,
+        "config": {},
+        "cases": [
+            {"case_id": "a", "per_organ_mm3": {"liver": 2.0}, "total_mm3": 2.0,
+             "status": "pending", "loop_seen": 0, "error_tags": [],
+             "created_at": PINNED, "updated_at": PINNED},
+        ],
+    }
+
+
+def with_entry(**fields):
+    payload = valid_state_payload()
+    payload["cases"][0].update(fields)
+    return payload
+
+
+def without_entry_field(name):
+    payload = valid_state_payload()
+    del payload["cases"][0][name]
+    return payload
+
+
+class TestMalformedState:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1],
+            "campaign",
+            {**valid_state_payload(), "cases": [5]},
+            {**valid_state_payload(), "cases": 5},
+            {**valid_state_payload(), "cases": [None]},
+            {**valid_state_payload(), "loop_index": "0"},
+            {**valid_state_payload(), "config": []},
+            {**valid_state_payload(), "extra": 1},
+            {k: v for k, v in valid_state_payload().items() if k != "loop_index"},
+            without_entry_field("status"),
+            without_entry_field("error_tags"),
+            with_entry(note="unknown field"),
+            with_entry(case_id=5),
+            with_entry(per_organ_mm3=[1.0]),
+            with_entry(total_mm3="2.0"),
+            with_entry(total_mm3=None),
+            with_entry(status=5),
+            with_entry(status="done"),
+            with_entry(loop_seen=1.5),
+            with_entry(error_tags=5),
+            with_entry(error_tags="boundary"),
+            with_entry(created_at=0),
+        ],
+    )
+    def test_rejected_naming_the_file(self, tmp_path, payload):
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CampaignError, match=re.escape(str(path))):
+            load_state(path)
+
+    def test_valid_payload_loads(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps(valid_state_payload()))
+        assert load_state(path).case("a").per_organ_mm3 == {"liver": 2.0}
 
 
 def two_organ_case(error_all_models=False):

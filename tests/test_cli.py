@@ -402,6 +402,21 @@ class TestDscAndMatrix:
         assert float(rows[1][3]) == 0.0  # x vs z disjoint
 
 
+    def test_matrix_names_follow_the_label_file_rule(self, tmp_path):
+        values = np.zeros((2, 2, 2), dtype=np.uint8)
+        values[0] = 1
+        names = ("case.nii", "case.nii.gz", "a.b.nii.gz", "x.img")
+        for name in names:
+            write_labels(tmp_path / name, values)
+        out = tmp_path / "matrix.csv"
+        assert main(["matrix", "--inputs", *(str(tmp_path / n) for n in names),
+                     "--organ", "1", "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["", "case", "case", "a.b", "x.img"]
+        assert [r[0] for r in rows[1:]] == ["case", "case", "a.b", "x.img"]
+
+
 class TestEnsembleCli:
     def test_majority_vote_labels(self, tmp_path):
         dims = (3, 3, 3)
@@ -757,6 +772,132 @@ class TestFpscanCli:
         assert rc == 1
         assert "organ code must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestMalformedJsonInputs:
+    """Hand-edited JSON inputs of the wrong shape exit 1 with the file named."""
+
+    @pytest.mark.parametrize("manifest", [{"cases": {"case1": ["x.nii.gz"]}}, ["x"],
+                                          {"cases": ["case1"]},
+                                          {"cases": {"case1": {"1": 5}}},
+                                          {"cases": {"case1": {"one": "x.nii.gz"}}}])
+    def test_detect_rejects_malformed_manifest(self, blob_corpus, capsys, manifest):
+        root, _ = blob_corpus
+        path = root / "modelA" / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        rc = main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
+                   "--out", str(root / "attention")])
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", [[1, 2], "case1", {"total_mm3": 1.0}])
+    def test_rank_rejects_malformed_sizes_sidecar(self, blob_corpus, capsys, tmp_path,
+                                                  sidecar):
+        root, _ = blob_corpus
+        out = root / "attention"
+        assert main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
+                     "--out", str(out)]) == 0
+        bad = out / "other_sizes.json"
+        bad.write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        assert main(["rank", "--attention", str(out), "--out", str(tmp_path / "r.csv")]) == 1
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", ["rank", "evaluate", "campaign"])
+    def test_sidecars_sharing_a_case_id_rejected(self, blob_corpus, capsys, command):
+        root, _ = blob_corpus
+        out = root / "attention"
+        assert main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
+                     "--out", str(out)]) == 0
+        copy = out / "copy_sizes.json"
+        shutil.copy(out / "case1_sizes.json", copy)
+        result = root / "result"
+        argv = {
+            "rank": ["rank", "--attention", str(out), "--out", str(result)],
+            "evaluate": ["evaluate", "--attention", str(out), "--pseudo", str(root),
+                         "--truth", str(root), "--out", str(result)],
+            "campaign": ["campaign", "init", "--attention", str(out), "--state", str(result)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{copy}: case id 'case1' is also in {out / 'case1_sizes.json'}" in err
+        assert not result.exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"version": 1, "loop_index": 0, "config": {}, "cases": [5]},
+        [1],
+    ])
+    @pytest.mark.parametrize("action", ["status", "stop-check", "mark"])
+    def test_campaign_rejects_malformed_state(self, tmp_path, capsys, payload, action):
+        state = tmp_path / "campaign.json"
+        state.write_text(json.dumps(payload))
+        extra = ["--case", "a", "--status", "revised"] if action == "mark" else []
+        assert main(["campaign", action, "--state", str(state), *extra]) == 1
+        assert str(state) in capsys.readouterr().err
+        assert json.loads(state.read_text()) == payload
+
+
+class TestNonFiniteThresholds:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_simulate_rejects_cutoff(self, blob_corpus, tmp_path, capsys, value):
+        root, _ = blob_corpus
+        write_labels(root / "truth" / "case1.nii.gz", np.zeros((6, 6, 6), np.uint8))
+        report = tmp_path / "report.json"
+        rc = main(["simulate", "--preds", str(root / "modelA"), str(root / "modelB"),
+                   "--truth", str(root / "truth"), "--threshold-mm3", value,
+                   "--out", str(report)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_select_rejects_cutoff(self, tmp_path, capsys, value):
+        ranking = tmp_path / "ranking.csv"
+        ranking.write_text("rank,case_id,total_mm3\n1,a,5.0\n")
+        out = tmp_path / "selected.csv"
+        assert main(["select", "--ranking", str(ranking), "--threshold-mm3", value,
+                     "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--minutes", "--hours"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_estimate_rejects_rate(self, capsys, flag, value):
+        assert main(["estimate", "--revised", "1", "--total", "2", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "estimated days" not in captured.out
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def test_every_json_output_is_strict_json(six_case_corpus, tmp_path, capsys):
+    """NaN and Infinity are not JSON (RFC 8259): no command may write them."""
+    root, models = six_case_corpus
+    att, ens = tmp_path / "att", tmp_path / "ens"
+    state = tmp_path / "campaign.json"
+    commands = [
+        ["detect", "--preds", *models, "--out", str(att)],
+        ["ensemble", "--preds", *models, "--out", str(ens)],
+        ["evaluate", "--attention", str(att), "--pseudo", str(ens),
+         "--truth", str(root / "truth"), "--out", str(tmp_path / "metrics.json")],
+        ["simulate", "--preds", *models, "--truth", str(root / "truth"),
+         "--out", str(tmp_path / "simulate.json")],
+        ["campaign", "init", "--state", str(state), "--attention", str(att)],
+        ["campaign", "mark", "--state", str(state), "--case", "case0",
+         "--status", "revised", "--tag", "boundary"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    written = sorted(tmp_path.rglob("*.json"))
+    assert {p.parent for p in written} == {tmp_path, att, ens}
+    assert len(written) == 3 + 6 + 6
+    for path in written:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
 
 
 class TestExitCodes:

@@ -1,6 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from grids import make_grid, mask_grid
 from oracles import (
     componentwise_oracle,
@@ -9,7 +15,11 @@ from oracles import (
     flood_components,
     per_organ_mean_dsc,
 )
+from segqa.corpus import write_csv, write_json
 from segqa.regions import (
+    METRICS_CSV_HEADER,
+    ConfusionCounts,
+    OrganMetrics,
     componentwise_metrics,
     connected_components,
     dsc,
@@ -18,6 +28,8 @@ from segqa.regions import (
     evaluate_case,
     false_positive_scan,
     mean_label_dsc,
+    metrics_csv_rows,
+    metrics_json_dict,
     remove_small_components,
 )
 from segqa.volume import AlignmentError, LabelVolume, OrganLabelMap
@@ -403,8 +415,67 @@ class TestEvaluateCase:
             report = evaluate_case("c", attention, pseudo, truth)
             for code, name in labels.entries:
                 expected = dsc(pseudo.organ_mask(code), truth.organ_mask(code))
-                got = report.organs[name].dsc
+                got = report[name].dsc
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+defined_or_not = st.none() | st.floats(0, 1)
+organ_metrics = st.builds(
+    OrganMetrics,
+    sensitivity=defined_or_not,
+    precision=defined_or_not,
+    tp=st.integers(0, 99),
+    fp=st.integers(0, 99),
+    fn=st.integers(0, 99),
+    dsc=st.floats(0, 1),
+)
+# Organ sets differ between cases, so some organs are absent from some cases.
+case_reports = st.dictionaries(
+    st.sampled_from(["case01", "case02", "fall_ä", "x,y"]),
+    st.dictionaries(st.sampled_from(["liver", "spleen", "pancréas", "腎臓"]), organ_metrics,
+                    min_size=1),
+    min_size=1,
+)
+provenances = st.fixed_dictionaries(
+    {
+        "connectivity": st.sampled_from([6, 18, 26]),
+        "detect_config": st.fixed_dictionaries({"std_threshold": st.floats(0.01, 0.5)}),
+        "attention_dir": st.text(max_size=8),
+        "pseudo_dir": st.text(max_size=8),
+        "truth_dir": st.text(max_size=8),
+        "dsc_empty_convention": st.just(1.0),
+    }
+)
+
+
+class TestReportWritersMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(case_reports, provenances)
+    def test_random_reports(self, cases, provenance):
+        reports = [
+            oracles.MetricsReport(
+                case_id,
+                {
+                    name: oracles.OrganMetrics(
+                        m.sensitivity, m.precision, ConfusionCounts(m.tp, m.fp, m.fn), m.dsc
+                    )
+                    for name, m in organs.items()
+                },
+                provenance,
+            )
+            for case_id, organs in cases.items()
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.json", Path(tmp) / "want.json"
+            write_json(got, metrics_json_dict(cases, provenance))
+            write_json(want, oracles.metrics_json_dict(reports))
+            assert got.read_bytes() == want.read_bytes()
+            csv_path = Path(tmp) / "got.csv"
+            write_csv(csv_path, METRICS_CSV_HEADER, metrics_csv_rows(cases))
+            assert csv_path.read_bytes() == oracles.metrics_csv(reports).encode("utf-8")
+
+    def test_header_is_the_organ_metrics_fields(self):
+        assert METRICS_CSV_HEADER == oracles.METRICS_CSV_HEADER
 
 
 class TestFalsePositiveScan:
