@@ -34,7 +34,6 @@ from .regions import mean_label_dsc
 from .volume import (
     LabelVolume,
     PredictionSet,
-    SoftPrediction,
     VolumeGrid,
     require_aligned,
     soft_from_labels,
@@ -398,13 +397,11 @@ class LoopReport:
 def _labels_as_predictions(case_id: str, label: LabelVolume, loop_index: int) -> PredictionSet:
     # Identical 0/1 members have std 0 and a mean equal to the channel, whatever
     # their count, so two (the fewest build_attention accepts) stand in for K.
-    channels = soft_from_labels(label)
-    return PredictionSet(
-        case_id=case_id,
-        members=tuple(
-            SoftPrediction(model_id=f"revised-loop{loop_index}-m{k}", channels=channels)
-            for k in range(2)
-        ),
+    # Each organ's channel is made, cropped and dropped before the next.
+    return PredictionSet.from_channels(
+        case_id,
+        [f"revised-loop{loop_index}-m{k}" for k in range(2)],
+        ((channel, channel) for channel in soft_from_labels(label)),
     )
 
 

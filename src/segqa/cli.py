@@ -234,7 +234,7 @@ def _ensemble_one(
         out_dir / f"{case_id}_ensemble.json",
         {
             "case_id": case_id,
-            "model_ids": [m.model_id for m in preds.members],
+            "model_ids": list(preds.model_ids),
             "binarize_threshold": threshold,
             "organ_names": list(labels.names),
         },

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 from collections.abc import Iterator, Mapping
@@ -39,7 +40,6 @@ from .volume import (
     OrganLabelMap,
     PredictionSet,
     ProbabilityRangeError,
-    SoftPrediction,
     VolumeGrid,
 )
 
@@ -53,8 +53,11 @@ class CorpusError(ValueError):
     """The on-disk layout does not match the expected convention."""
 
 
-# One case's channels: a (model_id, channel paths in code order) pair per model directory.
-CaseChannels = tuple[tuple[str, tuple[Path, ...]], ...]
+# One case's channels: per model directory, the directory (whose name is the
+# model id) and the channel paths relative to it in code order. The relative
+# paths are str and the directory is shared by every case: a Path per channel
+# costs several times the bytes.
+CaseChannels = tuple[tuple[Path, tuple[str, ...]], ...]
 
 
 class CorpusIndex(NamedTuple):
@@ -71,8 +74,8 @@ def _check_case_id(case_id: object, source: Path) -> None:
         raise CorpusError(f"{source}: case id {case_id!r} is empty or has '/', '\\' or '..'")
 
 
-def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, Path]]:
-    """Map case id -> organ code -> channel file for one model directory."""
+def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, str]]:
+    """Map case id -> organ code -> channel path relative to one model directory."""
     model_dir = Path(model_dir)
     if not model_dir.is_dir():
         raise CorpusError(f"{model_dir}: not a directory")
@@ -83,7 +86,7 @@ def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, Path]]:
         cases = listing.get("cases", {}) if isinstance(listing, dict) else None
         if not isinstance(cases, dict) or not all(isinstance(c, dict) for c in cases.values()):
             raise CorpusError(f"{manifest}: expected {MANIFEST_SHAPE}")
-        out: dict[str, dict[int, Path]] = {}
+        out: dict[str, dict[int, str]] = {}
         for case_id, channels in cases.items():
             _check_case_id(case_id, manifest)
             for code, rel in channels.items():
@@ -93,20 +96,21 @@ def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, Path]]:
                 if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == "..":
                     raise CorpusError(f"{manifest}: case {case_id!r}, organ {code}: channel path "
                                       f"{rel!r} is absolute or leaves {model_dir}")
-            out[case_id] = {int(code): model_dir / rel for code, rel in channels.items()}
+            out[case_id] = {int(code): rel for code, rel in channels.items()}
         if not out:
             raise CorpusError(f"{manifest}: manifest lists no cases")
         return out
 
     # Names sort as str: the order of sorted(iterdir()) within one directory,
-    # without comparing Path objects.
-    found: dict[str, dict[int, Path]] = {}
+    # without comparing Path objects. A case id is checked at its first file,
+    # the first of its files the check would fail on.
+    found: dict[str, dict[int, str]] = {}
     for name in sorted(os.listdir(model_dir)):
         m = CHANNEL_RE.match(name)
         if m:
-            path = model_dir / name
-            _check_case_id(m.group("case"), path)
-            found.setdefault(m.group("case"), {})[int(m.group("code"))] = path
+            if m.group("case") not in found:
+                _check_case_id(m.group("case"), model_dir / name)
+            found.setdefault(m.group("case"), {})[int(m.group("code"))] = name
     if not found:
         raise CorpusError(f"{model_dir}: no *_organ<code>.nii[.gz] channel files found")
     return found
@@ -144,18 +148,19 @@ def discover_cases(model_dirs: Sequence[str | Path]) -> CorpusIndex:
                 f"offending directory: {model_dir}"
             )
     case_ids = sorted(per_model[0])
+    dirs = [Path(d) for d in model_dirs]
     organ_counts = set()
     members = {}
     for case_id in case_ids:
         entry = []
-        for model_dir, channels in zip(model_dirs, per_model):
+        for model_dir, channels in zip(dirs, per_model):
             by_code = channels[case_id]
-            paths = tuple(by_code.get(code) for code in range(1, len(by_code) + 1))
-            if None in paths:
+            names = tuple(by_code.get(code) for code in range(1, len(by_code) + 1))
+            if None in names:
                 raise CorpusError(f"{model_dir}: case {case_id!r} channels must cover codes "
-                                  f"{list(range(1, len(paths) + 1))}, got {sorted(by_code)}")
-            organ_counts.add(len(paths))
-            entry.append((Path(model_dir).name, paths))
+                                  f"{list(range(1, len(names) + 1))}, got {sorted(by_code)}")
+            organ_counts.add(len(names))
+            entry.append((model_dir, names))
         members[case_id] = tuple(entry)
     if len(organ_counts) != 1:
         raise CorpusError(f"inconsistent organ channel counts: {sorted(organ_counts)}")
@@ -163,16 +168,23 @@ def discover_cases(model_dirs: Sequence[str | Path]) -> CorpusIndex:
 
 
 def load_prediction_set(case_id: str, members: CaseChannels) -> PredictionSet:
-    """Load one case from its index entry: each model's id and channel paths in code order."""
-    loaded = []
-    for model_id, paths in members:
-        try:
-            loaded.append(
-                SoftPrediction(model_id=model_id, channels=tuple(read_volume(p) for p in paths))
-            )
-        except ProbabilityRangeError as exc:
-            raise CorpusError(f"case {case_id!r}: {paths[exc.code - 1]}: {exc}") from exc
-    return PredictionSet(case_id=case_id, members=tuple(loaded))
+    """Load one case from its index entry: each model's directory and channels.
+
+    Channels are decoded one organ at a time and cropped to the organ's
+    support box before the next organ is read, so K decoded channels are
+    alive at a time.
+    """
+    dirs = [model_dir for model_dir, _ in members]
+    by_organ = zip(*(names for _, names in members))
+    try:
+        return PredictionSet.from_channels(
+            case_id,
+            [d.name for d in dirs],
+            ([read_volume(d / name) for d, name in zip(dirs, names)] for names in by_organ),
+        )
+    except ProbabilityRangeError as exc:
+        model_dir, names = members[exc.member]
+        raise CorpusError(f"case {case_id!r}: {model_dir / names[exc.code - 1]}: {exc}") from exc
 
 
 class PredictionSets(Mapping[str, PredictionSet]):
@@ -252,12 +264,18 @@ def write_attention_outputs(
     return sizes
 
 
+def _is_size(value: object) -> bool:
+    # JSON numbers arrive as int or float; a bool is an int but no size, and NaN fails both tests.
+    return type(value) in (int, float) and 0 <= value < math.inf
+
+
 def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
     """All *_sizes.json sidecars of an attention directory, sorted by case id.
 
     Every sidecar must carry the organ names and detection config of the
     first one, so the cases can share one ranking, report and campaign, and
-    a case id that no other sidecar has.
+    a case id that no other sidecar has. Its sizes must be finite numbers
+    >= 0: ``total_mm3`` one, ``per_organ_mm3`` an object of them.
     """
     attention_dir = Path(attention_dir)
     if not attention_dir.is_dir():
@@ -278,6 +296,13 @@ def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
             if sizes[-1].get(key) != sizes[0].get(key):
                 raise CorpusError(f"{path}: field {key!r} is {sizes[-1].get(key)!r}, "
                                   f"but {paths[0]} has {sizes[0].get(key)!r}")
+        total, per_organ = sizes[-1].get("total_mm3"), sizes[-1].get("per_organ_mm3")
+        if not _is_size(total):
+            raise CorpusError(f"{path}: field 'total_mm3' must be a finite number >= 0, "
+                              f"got {total!r}")
+        if not isinstance(per_organ, dict) or not all(map(_is_size, per_organ.values())):
+            raise CorpusError(f"{path}: field 'per_organ_mm3' must be an object of finite "
+                              f"numbers >= 0, got {per_organ!r}")
     if not sizes:
         raise CorpusError(f"{attention_dir}: no *_sizes.json files found")
     return sorted(sizes, key=lambda s: s["case_id"])

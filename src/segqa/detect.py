@@ -15,14 +15,15 @@ connected components below a configurable voxel count dropped as speckle.
 All thresholds default to round values because no canonical setting exists;
 they are surfaced on the command line and echoed into every output.
 
-Each organ is reduced only over its support box (:func:`support_box`), the
-smallest box holding every voxel where any member is nonzero; results outside
-it are written as zero. This is exact because every threshold is > 0
-(:class:`DetectionConfig`): where all K members are 0 (or -0.0) the mean is
-0, the std is 0 and the entropy is 0, so no criterion fires and the organ
-does not pass the binarize threshold. Per-organ work therefore scales with
-the organ's nonzero support, not with the volume; channels with no exact
-zero get a box the size of the volume.
+A case's predictions hold each organ as the members' crops of its support
+box (:class:`segqa.volume.SoftPrediction`), the smallest box holding every
+voxel where any member is nonzero, and each organ is reduced over its crops
+only; results outside the box are written as zero. This is exact because
+every threshold is > 0 (:class:`DetectionConfig`): where all K members are 0
+(or -0.0) the mean is 0, the std is 0 and the entropy is 0, so no criterion
+fires and the organ does not pass the binarize threshold. Per-organ work
+therefore scales with the organ's nonzero support, not with the volume;
+channels with no exact zero get a box the size of the volume.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ import numpy as np
 
 from . import regions
 from .volume import (
+    Box,
     PredictionSet,
     VolumeGrid,
     physical_volume,
     stable_mean_std,
-    support_box,
 )
 
 
@@ -125,45 +126,46 @@ def binary_entropy(p: np.ndarray | float) -> np.ndarray | float:
 def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) -> AttentionMap:
     """Union the three criterion masks for one case into an attention map.
 
-    Per organ, the K member channels are reduced once to their mean and std
-    (:func:`stable_mean_std`), over the organ's support box only. A voxel
-    enters the union if the std or the entropy of the mean passes its
-    threshold; overlap voxels (two or more organs whose mean passes the
-    binarize threshold) enter unconditionally. A per-organ sub-mask
-    additionally claims overlap voxels where that organ's mean passes the
-    binarize threshold.
+    Per organ, the K member crops are reduced once to their mean and std
+    (:func:`stable_mean_std`). A voxel enters the union if the std or the
+    entropy of the mean passes its threshold; overlap voxels (two or more
+    organs whose mean passes the binarize threshold) enter unconditionally.
+    A per-organ sub-mask additionally claims overlap voxels where that
+    organ's mean passes the binarize threshold.
     """
     cfg = cfg or DetectionConfig()
     if preds.num_members < 2:
         raise InsufficientMembersError(
             f"case {preds.case_id!r}: attention needs >= 2 members, got {preds.num_members}"
         )
-    ref = preds.reference_grid
-    dims = ref.dims
+    grid = preds.grid
+    dims = grid.dims
 
     inconsistent_any = np.zeros(dims, dtype=bool)
     uncertain_any = np.zeros(dims, dtype=bool)
-    pass_count = np.zeros(dims, dtype=np.int32)
+    # Voxels where one organ passes, and where a second one does too: overlap
+    # is "passed twice", for any number of organs and with no count array.
+    passed = np.zeros(dims, dtype=bool)
+    overlap = np.zeros(dims, dtype=bool)
     # Per organ: its support box and, inside it, the criterion part and passes.
-    organs: list[tuple[tuple[slice, ...], np.ndarray, np.ndarray]] = []
+    organs: list[tuple[Box, np.ndarray, np.ndarray]] = []
 
-    for c in range(preds.num_organs):
-        channels = [m.channels[c].values for m in preds.members]
-        box = support_box(channels)
-        mean, std = stable_mean_std([ch[box] for ch in channels])
+    for organ in preds.organs:
+        box = organ.box
+        mean, std = stable_mean_std(organ.crops)
         inconsistent = std >= cfg.std_threshold
         uncertain = binary_entropy(mean) >= cfg.entropy_threshold
         passes = mean >= cfg.binarize_threshold
 
         inconsistent_any[box] |= inconsistent
         uncertain_any[box] |= uncertain
-        pass_count[box] += passes
+        overlap[box] |= passed[box] & passes
+        passed[box] |= passes
         organs.append((box, inconsistent | uncertain, passes))
 
-    overlap = pass_count >= 2
     union = inconsistent_any | uncertain_any | overlap
 
-    union_grid = ref.with_values(union.astype(np.uint8))
+    union_grid = grid.with_values(union.astype(np.uint8))
     if cfg.min_component_voxels > 1:
         union_grid = regions.remove_small_components(union_grid, cfg.min_component_voxels)
 
@@ -171,15 +173,15 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
     for box, part, passes in organs:
         mask = np.zeros(dims, dtype=np.uint8)
         mask[box] = part | (overlap[box] & passes)
-        per_organ.append(ref.with_values(mask))
+        per_organ.append(grid.with_values(mask))
     return AttentionMap(
         case_id=preds.case_id,
         union_mask=union_grid,
         per_organ_masks=tuple(per_organ),
         source_masks=CriterionMasks(
-            inconsistency=ref.with_values(inconsistent_any.astype(np.uint8)),
-            uncertainty=ref.with_values(uncertain_any.astype(np.uint8)),
-            overlap=ref.with_values(overlap.astype(np.uint8)),
+            inconsistency=grid.with_values(inconsistent_any.astype(np.uint8)),
+            uncertainty=grid.with_values(uncertain_any.astype(np.uint8)),
+            overlap=grid.with_values(overlap.astype(np.uint8)),
         ),
         per_organ_mm3=tuple(physical_volume(m) for m in per_organ),
         total_mm3=physical_volume(union_grid),

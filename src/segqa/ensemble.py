@@ -15,7 +15,6 @@ from .volume import (
     PredictionSet,
     labels_from_soft,
     stable_mean,
-    support_box,
 )
 
 
@@ -26,15 +25,11 @@ def ensemble_label(
 ) -> LabelVolume:
     """Discrete consensus labels: threshold-gated argmax of the mean channels.
 
-    Each organ's mean is computed over its support box only and is 0 outside
-    it; since the threshold is > 0, a zero mean never labels a voxel.
+    Each organ's mean is computed over its members' crops and labels only
+    inside the organ's support box; since the threshold is > 0, the zero mean
+    outside it never labels a voxel.
     """
-    ref = preds.reference_grid
-    mean_soft = []
-    for c in range(preds.num_organs):
-        channels = [m.channels[c].values for m in preds.members]
-        box = support_box(channels)
-        mean = np.zeros(ref.dims, dtype=np.float32)
-        mean[box] = stable_mean([ch[box] for ch in channels])
-        mean_soft.append(ref.with_values(mean))
-    return labels_from_soft(mean_soft, binarize_threshold, labels)
+    means = [
+        (organ.box, stable_mean(organ.crops).astype(np.float32)) for organ in preds.organs
+    ]
+    return labels_from_soft(preds.grid, means, binarize_threshold, labels)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,13 +36,17 @@ class AlignmentError(ValueError):
 
 
 class ProbabilityRangeError(ValueError):
-    """A soft channel holds a value outside [0, 1], or NaN; ``code`` names the organ."""
+    """A soft channel holds a value outside [0, 1], or NaN.
 
-    def __init__(self, model_id: str, code: int, lo: float, hi: float):
+    ``member`` is the index of the model and ``code`` the organ.
+    """
+
+    def __init__(self, model_id: str, member: int, code: int, lo: float, hi: float):
         super().__init__(
             f"model {model_id!r}, organ {code}: probabilities must be finite and in "
             f"[0, 1], got range {lo}..{hi}"
         )
+        self.member = member
         self.code = code
 
 
@@ -207,62 +211,101 @@ class LabelVolume:
         return self.grid.with_values((self.grid.values == code).astype(np.uint8))
 
 
+Box = tuple[slice, slice, slice]
+
+
 @dataclass(frozen=True, eq=False)
 class SoftPrediction:
-    """One model's per-organ probability channels for a single case."""
+    """One organ's probabilities from every member model of a case, cropped to one box.
 
-    model_id: str
-    channels: tuple[VolumeGrid, ...]
+    ``box`` is the organ's support box (:func:`support_box`): every member is
+    0 or -0.0 outside it. ``crops[k]`` holds model ``model_ids[k]``'s float32
+    values inside the box. The checks run on the crops, which is exact: every
+    voxel outside the box is a zero, and a zero passes them.
+    """
+
+    model_ids: tuple[str, ...]
+    code: int
+    box: Box
+    crops: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if not self.channels:
-            raise ValueError("a soft prediction needs at least one organ channel")
-        object.__setattr__(self, "channels", tuple(self.channels))
-        for code, ch in enumerate(self.channels, start=1):
-            if ch.values.dtype != np.dtype(np.float32):
-                raise TypeError(f"soft channels must be float32, got {ch.values.dtype}")
-            lo, hi = float(ch.values.min()), float(ch.values.max())
+        if len(self.crops) != len(self.model_ids):
+            raise AlignmentError(
+                f"organ {self.code}: {len(self.crops)} member channels for "
+                f"{len(self.model_ids)} models"
+            )
+        object.__setattr__(self, "crops", tuple(_read_only(c) for c in self.crops))
+        for k, crop in enumerate(self.crops):
+            if crop.dtype != np.dtype(np.float32):
+                raise TypeError(f"soft channels must be float32, got {crop.dtype}")
+            lo, hi = (float(crop.min()), float(crop.max())) if crop.size else (0.0, 0.0)
             if not (0.0 <= lo and hi <= 1.0):  # also false for NaN
-                raise ProbabilityRangeError(self.model_id, code, lo, hi)
-        require_aligned(*self.channels, context=f"channels of model {self.model_id!r}")
-
-    @property
-    def num_organs(self) -> int:
-        return len(self.channels)
+                raise ProbabilityRangeError(self.model_ids[k], k, self.code, lo, hi)
 
 
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """K grid-aligned soft predictions (one per model) for a single case."""
+    """K models' soft predictions for one case, as one SoftPrediction per organ.
+
+    ``organs[c]`` is organ code c + 1. ``grid`` carries the case geometry
+    without its voxels: its values are one zero broadcast to the case dims.
+    Build it with :meth:`from_channels`.
+    """
 
     case_id: str
-    members: tuple[SoftPrediction, ...]
+    grid: VolumeGrid
+    organs: tuple[SoftPrediction, ...]
 
     def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError(f"case {self.case_id!r}: need at least one member prediction")
-        object.__setattr__(self, "members", tuple(self.members))
-        counts = {m.num_organs for m in self.members}
-        if len(counts) != 1:
-            raise AlignmentError(
-                f"case {self.case_id!r}: members disagree on channel count {sorted(counts)}"
-            )
-        require_aligned(
-            *(m.channels[0] for m in self.members),
-            context=f"members of case {self.case_id!r}",
-        )
+        object.__setattr__(self, "organs", tuple(self.organs))
+        if not self.organs:
+            raise ValueError(f"case {self.case_id!r}: need at least one organ channel")
+        if any(o.model_ids != self.model_ids for o in self.organs[1:]):
+            raise AlignmentError(f"case {self.case_id!r}: organs disagree on the member models")
+
+    @classmethod
+    def from_channels(
+        cls,
+        case_id: str,
+        model_ids: Sequence[str],
+        organs: Iterable[Sequence[VolumeGrid]],
+    ) -> "PredictionSet":
+        """Crop each organ's member channels to the organ's support box.
+
+        ``organs`` yields, in code order, the members' dense channels of one
+        organ. They are cropped and dropped before the next organ is drawn,
+        so a generator that decodes them holds K dense channels at a time.
+        """
+        model_ids = tuple(model_ids)
+        if not model_ids:
+            raise ValueError(f"case {case_id!r}: need at least one member prediction")
+        grid = None
+        cropped = []
+        # No enumerate(): its reused result tuple would keep the last organ's
+        # dense channels alive while the next organ is drawn.
+        for channels in organs:
+            code = len(cropped) + 1
+            if grid is None:
+                grid = channels[0].with_values(np.broadcast_to(np.uint8(0), channels[0].dims))
+            require_aligned(grid, *channels, context=f"channels of case {case_id!r}, organ {code}")
+            box = support_box([ch.values for ch in channels])
+            crops = tuple(ch.values[box].copy() for ch in channels)
+            del channels
+            cropped.append(SoftPrediction(model_ids, code, box, crops))
+        return cls(case_id, grid, tuple(cropped))
+
+    @property
+    def model_ids(self) -> tuple[str, ...]:
+        return self.organs[0].model_ids
 
     @property
     def num_members(self) -> int:
-        return len(self.members)
+        return len(self.model_ids)
 
     @property
     def num_organs(self) -> int:
-        return self.members[0].num_organs
-
-    @property
-    def reference_grid(self) -> VolumeGrid:
-        return self.members[0].channels[0]
+        return len(self.organs)
 
 
 def _require_binary(mask: VolumeGrid, op: str) -> np.ndarray:
@@ -282,33 +325,43 @@ def _check_threshold(threshold: float) -> float:
 
 
 def labels_from_soft(
-    channels: Sequence[VolumeGrid],
+    grid: VolumeGrid,
+    channels: Sequence[tuple[Box, np.ndarray]],
     threshold: float = 0.5,
     labels: OrganLabelMap | None = None,
 ) -> LabelVolume:
-    """Discrete labels from per-organ probabilities.
+    """Discrete labels on ``grid`` from per-organ probabilities, each held in a box.
 
-    Per voxel the label is the argmax channel's code if that maximum reaches
-    the threshold, else background. Ties break toward the lowest code so the
-    result is deterministic and independent of evaluation order.
+    ``channels[c]`` is organ code c + 1's box and its values inside the box;
+    the channel is 0 outside it. A dense channel is one whose box is the whole
+    volume. Per voxel the label is the argmax channel's code if that maximum
+    reaches the threshold, else background. Ties break toward the lowest code
+    so the result is deterministic and independent of evaluation order.
     """
     if not channels:
         raise ValueError("labels_from_soft: need at least one channel")
     if len(channels) > 255:
         raise ValueError("labels_from_soft: at most 255 organ channels supported")
     t = _check_threshold(threshold)
-    require_aligned(*channels, context="soft channels")
-    # A running argmax; strict ">" keeps the lowest code on ties, and no
-    # channel stack is built.
-    peak = np.array(channels[0].values, dtype=np.result_type(*(ch.values for ch in channels)))
-    best = np.ones(peak.shape, dtype=np.uint8)
-    for code, ch in enumerate(channels[1:], start=2):
-        best[ch.values > peak] = code
-        np.maximum(peak, ch.values, out=peak)
+    # A running argmax from a zero peak, updated inside each box only; strict
+    # ">" keeps the lowest code on ties, and no channel stack is built. The
+    # threshold is > 0, so a voxel where no channel exceeds 0 stays background
+    # whichever code it holds.
+    peak = np.zeros(grid.dims, dtype=np.result_type(*(values for _, values in channels)))
+    best = np.zeros(grid.dims, dtype=np.uint8)
+    for code, (box, values) in enumerate(channels, start=1):
+        top = peak[box]
+        if top.shape != values.shape:
+            raise AlignmentError(
+                f"soft channel {code}: values of shape {values.shape} do not fill "
+                f"its box of shape {top.shape} in a grid of dims {grid.dims}"
+            )
+        best[box][values > top] = code
+        np.maximum(top, values, out=top)
     codes = np.where(peak >= t, best, np.uint8(0))
     if labels is None:
         labels = OrganLabelMap.for_channel_count(len(channels))
-    return LabelVolume(channels[0].with_values(codes), labels)
+    return LabelVolume(grid.with_values(codes), labels)
 
 
 def physical_volume(mask: VolumeGrid) -> float:
@@ -317,9 +370,9 @@ def physical_volume(mask: VolumeGrid) -> float:
     return float(np.count_nonzero(v)) * mask.voxel_volume_mm3
 
 
-def soft_from_labels(label: LabelVolume) -> tuple[VolumeGrid, ...]:
-    """Hard 0/1 probability channels from a label volume (one per organ code)."""
-    return tuple(
+def soft_from_labels(label: LabelVolume) -> Iterator[VolumeGrid]:
+    """Hard 0/1 probability channels from a label volume, one per organ code, made on demand."""
+    return (
         label.grid.with_values((label.grid.values == code).astype(np.float32))
         for code in label.labels.codes
     )

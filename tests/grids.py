@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from segqa.volume import PredictionSet, SoftPrediction, VolumeGrid
+from segqa.volume import PredictionSet, VolumeGrid
+
+# The box of a dense channel: the whole volume.
+WHOLE = (slice(None),) * 3
 
 
 def make_grid(values, spacing=(1.0, 1.0, 1.0), dtype=None) -> VolumeGrid:
@@ -26,14 +29,18 @@ def prediction_set(
     case_id: str, member_channels: list[list[np.ndarray]], spacing=(1.0, 1.0, 1.0)
 ) -> PredictionSet:
     """member_channels[k][c] is model k's channel for organ code c + 1."""
-    members = tuple(
-        SoftPrediction(
-            model_id=f"m{k}",
-            channels=tuple(float_grid(ch, spacing) for ch in channels),
-        )
-        for k, channels in enumerate(member_channels)
+    return PredictionSet.from_channels(
+        case_id,
+        [f"m{k}" for k in range(len(member_channels))],
+        ([float_grid(ch, spacing) for ch in organ] for organ in zip(*member_channels)),
     )
-    return PredictionSet(case_id=case_id, members=members)
+
+
+def whole(channels) -> tuple[VolumeGrid, list]:
+    """labels_from_soft's grid and (box, values) channels for dense channels,
+    given as grids or as arrays (taken as float32): each box is the whole volume."""
+    grids = [ch if isinstance(ch, VolumeGrid) else float_grid(ch) for ch in channels]
+    return grids[0], [(WHOLE, g.values) for g in grids]
 
 
 def random_prediction_set(

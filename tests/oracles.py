@@ -275,15 +275,12 @@ def per_organ_mean_dsc(a: np.ndarray, b: np.ndarray, codes) -> float:
 
 
 def _labels_as_predictions(case_id, label, members, loop_index):
-    from segqa.volume import PredictionSet, SoftPrediction, soft_from_labels
+    from segqa.volume import PredictionSet, soft_from_labels
 
-    channels = soft_from_labels(label)
-    return PredictionSet(
-        case_id=case_id,
-        members=tuple(
-            SoftPrediction(model_id=f"revised-loop{loop_index}-m{k}", channels=channels)
-            for k in range(members)
-        ),
+    return PredictionSet.from_channels(
+        case_id,
+        [f"revised-loop{loop_index}-m{k}" for k in range(members)],
+        ([channel] * members for channel in soft_from_labels(label)),
     )
 
 

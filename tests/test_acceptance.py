@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from grids import float_grid, make_grid, mask_grid, prediction_set
+from grids import make_grid, mask_grid, prediction_set, whole
 from oracles import attention_union_oracle, componentwise_oracle
 from segqa.campaign import LoopPolicy, run_loop
 from segqa.cli import main
@@ -189,7 +189,7 @@ def _loop_corpus():
     organ1[4:20, 4:20, 4:20] = 1.0
     organ2 = np.zeros(dims, dtype=np.float32)
     organ2[28:44, 28:44, 28:44] = 1.0
-    truth = labels_from_soft([float_grid(organ1), float_grid(organ2)], 0.5)
+    truth = labels_from_soft(*whole([organ1, organ2]), 0.5)
 
     predictions = {}
     truths = {}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from grids import make_grid, prediction_set
+from grids import make_grid, prediction_set, whole
 from oracles import two_pass_run_loop
 from segqa.campaign import (
     CampaignError,
@@ -383,17 +383,16 @@ class TestMalformedState:
         assert load_state(path).case("a").per_organ_mm3 == {"liver": 2.0}
 
 
-def two_organ_case(error_all_models=False):
-    """One case: organ 1 cube, organ 2 cube; models disagree on part of organ 1."""
+def two_organ_members(error_all_models=False):
+    """Member channels of one case and its truth: organ 1 cube, organ 2 cube;
+    models disagree on part of organ 1."""
     dims = (8, 8, 8)
     organ1 = np.zeros(dims, dtype=np.float32)
     organ1[1:4, 1:4, 1:4] = 1.0
     organ2 = np.zeros(dims, dtype=np.float32)
     organ2[5:7, 5:7, 5:7] = 1.0
 
-    truth = labels_from_soft(
-        [make_grid(organ1, dtype=np.float32), make_grid(organ2, dtype=np.float32)], 0.5
-    )
+    truth = labels_from_soft(*whole([organ1, organ2]), 0.5)
 
     wrong1 = organ1.copy()
     wrong1[1:3, 1:3, 1] = 0.0  # a chunk of organ 1 missed
@@ -401,23 +400,26 @@ def two_organ_case(error_all_models=False):
         members = [[wrong1, organ2]] * 3
     else:
         members = [[wrong1, organ2], [wrong1, organ2], [organ1, organ2]]
+    return members, truth
+
+
+def two_organ_case(error_all_models=False):
+    members, truth = two_organ_members(error_all_models)
     return prediction_set("case0", members), truth
 
 
 class TestSimulateRevision:
     def test_full_coverage_restores_truth(self):
-        ps, truth = two_organ_case()
-        amap = build_attention(ps)
-        pseudo = labels_from_soft(list(ps.members[0].channels), 0.5)
+        members, truth = two_organ_members()
+        amap = build_attention(prediction_set("case0", members))
+        pseudo = labels_from_soft(*whole(members[0]), 0.5)
         out = simulate_revision(pseudo, truth, amap.union_mask)
         assert np.array_equal(out.grid.values, truth.grid.values)
 
     def test_empty_attention_is_noop(self):
-        ps, truth = two_organ_case()
-        pseudo = labels_from_soft(list(ps.members[0].channels), 0.5)
-        agree = prediction_set(
-            "agree", [[ch.values for ch in ps.members[0].channels]] * 2
-        )
+        members, truth = two_organ_members()
+        pseudo = labels_from_soft(*whole(members[0]), 0.5)
+        agree = prediction_set("agree", [members[0]] * 2)
         amap = build_attention(agree)  # identical members, hard probs: empty
         assert amap.total_mm3 == 0.0
         out = simulate_revision(pseudo, truth, amap.union_mask)
@@ -444,9 +446,9 @@ class TestSimulateRevision:
         assert not (residual & (amap.union_mask.values != 0)).any()
 
     def test_revision_never_decreases_dsc(self):
-        ps, truth = two_organ_case()
-        amap = build_attention(ps)
-        pseudo = labels_from_soft(list(ps.members[0].channels), 0.5)
+        members, truth = two_organ_members()
+        amap = build_attention(prediction_set("case0", members))
+        pseudo = labels_from_soft(*whole(members[0]), 0.5)
         out = simulate_revision(pseudo, truth, amap.union_mask)
         assert mean_label_dsc(out, truth) >= mean_label_dsc(pseudo, truth)
 
@@ -480,26 +482,26 @@ class FreshLookups(Mapping):
     PredictionSet on every lookup, nothing kept between lookups."""
 
     def __init__(self, sets, make=PredictionSet):
-        self.members = {ps.case_id: ps.members for ps in sets}
+        self.parts = {ps.case_id: (ps.grid, ps.organs) for ps in sets}
         self.make = make
         self.lookups = 0
 
     def __getitem__(self, case_id):
         self.lookups += 1
-        return self.make(case_id, self.members[case_id])
+        return self.make(case_id, *self.parts[case_id])
 
     def __iter__(self):
-        return iter(self.members)
+        return iter(self.parts)
 
     def __len__(self):
-        return len(self.members)
+        return len(self.parts)
 
 
 def three_cases():
     """Cases with covered errors, errors all models share, and none; and their truths."""
-    (flagged, truth), (blind, _) = two_organ_case(), two_organ_case(error_all_models=True)
-    clean = prediction_set("c2", [[ch.values for ch in flagged.members[2].channels]] * 2)
-    sets = [PredictionSet("c0", flagged.members), PredictionSet("c1", blind.members), clean]
+    (flagged, truth), (blind, _) = two_organ_members(), two_organ_members(error_all_models=True)
+    clean = prediction_set("c2", [flagged[2]] * 2)
+    sets = [prediction_set("c0", flagged), prediction_set("c1", blind), clean]
     return sets, {ps.case_id: truth for ps in sets}
 
 
@@ -509,7 +511,7 @@ class TestRunLoop:
         organ = np.zeros(dims, dtype=np.float32)
         organ[2:4, 2:4, 2:4] = 1.0
         ps = prediction_set("c0", [[organ]] * 3)
-        truth = labels_from_soft([make_grid(organ, dtype=np.float32)], 0.5)
+        truth = labels_from_soft(*whole([organ]), 0.5)
         reports = run_loop({"c0": ps}, {"c0": truth})
         assert len(reports) == 1
         assert reports[0].revised_count == 0

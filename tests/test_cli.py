@@ -335,7 +335,7 @@ class TestCorpusIndex:
         for case_id, members, out_dir, _ in tasks:
             assert out_dir == str(out)
             assert members == tuple(
-                (Path(m).name, tuple(Path(m) / f"{case_id}_organ{code}.nii.gz" for code in (1, 2)))
+                (Path(m), tuple(f"{case_id}_organ{code}.nii.gz" for code in (1, 2)))
                 for m in models
             )
 
@@ -648,6 +648,59 @@ class TestMixedSidecars:
 
     def test_campaign_init_fails(self, mixed, capsys):
         root, out, other, field = mixed
+        state = root / "campaign.json"
+        assert main(["campaign", "init", "--state", str(state), "--attention", str(out)]) == 1
+        self.assert_names_file_and_field(capsys, other, field)
+        assert not state.exists()
+
+
+class TestSidecarSizes:
+    """An attention directory with a sidecar whose sizes are not finite numbers >= 0."""
+
+    @pytest.fixture(params=[
+        ("total_mm3", float("nan")),
+        ("total_mm3", -1.0),
+        ("total_mm3", "12"),
+        ("per_organ_mm3", 5),
+        ("per_organ_mm3", {"organ1": float("nan")}),
+        ("per_organ_mm3", {"organ1": -2.0}),
+    ], ids=["total-nan", "total-negative", "total-string", "organs-number", "organ-nan",
+            "organ-negative"])
+    def bad(self, request, blob_corpus):
+        root, _ = blob_corpus
+        out = root / "attention"
+        assert main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
+                     "--out", str(out)]) == 0
+        sizes = json.loads((out / "case1_sizes.json").read_text())
+        field, value = request.param
+        other = out / "case2_sizes.json"
+        other.write_text(json.dumps(dict(sizes, case_id="case2", **{field: value})))
+        return root, out, other, field
+
+    def assert_names_file_and_field(self, capsys, other, field):
+        err = capsys.readouterr().err
+        assert str(other) in err and repr(field) in err
+
+    def test_rank_fails(self, bad, capsys, tmp_path):
+        _, out, other, field = bad
+        ranking = tmp_path / "ranking.csv"
+        assert main(["rank", "--attention", str(out), "--out", str(ranking)]) == 1
+        self.assert_names_file_and_field(capsys, other, field)
+        assert not ranking.exists()
+
+    def test_evaluate_fails(self, bad, capsys, tmp_path):
+        root, out, other, field = bad
+        for labels in ("pseudo", "truth"):
+            for case in ("case1", "case2"):
+                write_labels(root / labels / f"{case}.nii.gz", np.zeros((6, 6, 6)))
+        metrics = tmp_path / "metrics.json"
+        assert main(["evaluate", "--attention", str(out), "--pseudo", str(root / "pseudo"),
+                     "--truth", str(root / "truth"), "--out", str(metrics)]) == 1
+        self.assert_names_file_and_field(capsys, other, field)
+        assert not metrics.exists()
+
+    def test_campaign_init_fails(self, bad, capsys):
+        root, out, other, field = bad
         state = root / "campaign.json"
         assert main(["campaign", "init", "--state", str(state), "--attention", str(out)]) == 1
         self.assert_names_file_and_field(capsys, other, field)

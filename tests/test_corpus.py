@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,12 +73,12 @@ class TestListingOrder:
         for path in sorted(tmp_path.iterdir()):
             m = CHANNEL_RE.match(path.name)
             if m:
-                expected.setdefault(m.group("case"), {})[int(m.group("code"))] = path
+                expected.setdefault(m.group("case"), {})[int(m.group("code"))] = path.name
         found = find_channel_volumes(tmp_path)
         assert [(c, list(v.items())) for c, v in found.items()] == [
             (c, list(v.items())) for c, v in expected.items()
         ]
-        assert found["a.b"][1].name == "a.b_organ1.nii.gz"
+        assert found["a.b"][1] == "a.b_organ1.nii.gz"
 
     def test_label_order_unchanged(self, tmp_path):
         from segqa.corpus import CHANNEL_RE, LABEL_RE
@@ -113,7 +114,7 @@ class TestManifestOverride:
         assert list(found) == ["caseX"]
         preds = load_prediction_set("caseX", discover_cases([model]).members["caseX"])
         assert preds.num_organs == 2
-        assert float(preds.members[0].channels[1].values[0, 0, 0]) == 0.75
+        assert float(preds.organs[1].crops[0][0, 0, 0]) == 0.75
 
 
     @pytest.mark.parametrize("case_id", ["../../escape", "sub/case", "..", "a..b", "win\\case", ""])
@@ -144,7 +145,9 @@ class TestManifestOverride:
         (model / "manifest.json").write_text(
             json.dumps({"cases": {"c.1": {"1": "sub/./a.nii.gz"}}})
         )
-        assert find_channel_volumes(model) == {"c.1": {1: model / "sub" / "a.nii.gz"}}
+        assert find_channel_volumes(model) == {"c.1": {1: "sub/./a.nii.gz"}}
+        preds = load_prediction_set("c.1", discover_cases([model]).members["c.1"])
+        assert preds.num_organs == 1
 
 class TestLoad:
     def test_prediction_set_model_ids_from_dir_names(self, tmp_path):
@@ -152,7 +155,7 @@ class TestLoad:
             write_float(tmp_path / model / "c_organ1.nii.gz", np.zeros((2, 2, 2)))
         index = discover_cases([tmp_path / "alpha", tmp_path / "beta"])
         preds = load_prediction_set("c", index.members["c"])
-        assert [m.model_id for m in preds.members] == ["alpha", "beta"]
+        assert list(preds.model_ids) == ["alpha", "beta"]
 
     def test_nan_channel_names_case_and_file(self, tmp_path):
         write_float(tmp_path / "alpha" / "c_organ1.nii.gz", np.zeros((2, 2, 2)))
@@ -165,6 +168,65 @@ class TestLoad:
         message = str(exc.value)
         assert "case 'c'" in message and "model 'beta', organ 1" in message
         assert str(tmp_path / "beta" / "c_organ1.nii.gz") in message
+
+    def test_nan_inside_a_box_names_case_model_organ_and_file(self, tmp_path):
+        models = ("alpha", "beta", "gamma")
+        for model in models:
+            for code in (1, 2):
+                values = np.zeros((6, 6, 6))
+                values[1:5, 1:5, 1:5] = 0.25 * code
+                if (model, code) == ("gamma", 2):
+                    values[2, 3, 2] = np.nan  # inside every member's support
+                write_float(tmp_path / model / f"c_organ{code}.nii.gz", values)
+        index = discover_cases([tmp_path / m for m in models])
+        with pytest.raises(CorpusError) as exc:
+            load_prediction_set("c", index.members["c"])
+        message = str(exc.value)
+        assert "case 'c'" in message and "model 'gamma', organ 2" in message
+        assert str(tmp_path / "gamma" / "c_organ2.nii.gz") in message
+
+    def test_held_bytes_do_not_grow_with_the_volume(self, tmp_path):
+        """Eight times the volume around the same organ boxes: the loaded case
+        holds less than one dense channel more."""
+
+        def held(dims):
+            root = tmp_path / "x".join(map(str, dims))
+            for k in range(3):
+                for code in (1, 2, 3):
+                    values = np.zeros(dims)
+                    values[1 + code:5 + code, 2:6, 1:4] = 0.1 * (k + code)
+                    write_float(root / f"m{k}" / f"c_organ{code}.nii.gz", values)
+            members = discover_cases([root / f"m{k}" for k in range(3)]).members["c"]
+            tracemalloc.start()
+            try:
+                preds = load_prediction_set("c", members)
+                return tracemalloc.get_traced_memory()[0], preds
+            finally:
+                tracemalloc.stop()
+
+        small, small_preds = held((12, 12, 8))
+        large, large_preds = held((24, 24, 16))
+        assert large - small < 24 * 24 * 16 * 4
+        assert [o.box for o in small_preds.organs] == [o.box for o in large_preds.organs]
+
+    def test_one_organ_of_dense_channels_alive_while_loading(self, tmp_path):
+        """The previous organ's K dense channels are dropped before the next
+        organ is decoded, so loading peaks below 2K dense channels."""
+        dims, models = (32, 32, 24), ("m0", "m1", "m2")
+        for k, model in enumerate(models):
+            for code in (1, 2, 3, 4):
+                values = np.zeros(dims)
+                values[2 * code:2 * code + 5, 3:9, 4:8] = 0.1 * (k + code)
+                write_float(tmp_path / model / f"c_organ{code}.nii.gz", values)
+        members = discover_cases([tmp_path / m for m in models]).members["c"]
+        load_prediction_set("c", members)  # first calls warm up outside the measurement
+        tracemalloc.start()
+        try:
+            load_prediction_set("c", members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(models) * int(np.prod(dims)) * 4
 
     @pytest.mark.parametrize("dtype, value", [(np.float32, 1.0), (np.int16, -3)])
     def test_label_volume_must_be_non_negative_integers(self, tmp_path, dtype, value):
@@ -202,7 +264,7 @@ class TestIndex:
         assert index.organ_count == 10
         assert list(index.members) == ["c1", "c2"]
         assert index.members["c2"] == tuple(
-            (d.name, tuple(d / f"c2_organ{code}.nii.gz" for code in range(1, 11))) for d in dirs
+            (d, tuple(f"c2_organ{code}.nii.gz" for code in range(1, 11))) for d in dirs
         )
 
     def test_load_lists_no_directory(self, tmp_path, monkeypatch):
@@ -214,8 +276,8 @@ class TestIndex:
         index = discover_cases([tmp_path / "alpha", tmp_path / "beta"])
         monkeypatch.setattr(corpus, "find_channel_volumes", lambda d: pytest.fail(f"listed {d}"))
         preds = load_prediction_set("c", index.members["c"])
-        assert [m.model_id for m in preds.members] == ["alpha", "beta"]
-        assert [float(ch.values[0, 0, 0]) for ch in preds.members[1].channels] == [0.25, 0.5]
+        assert list(preds.model_ids) == ["alpha", "beta"]
+        assert [float(organ.crops[1][0, 0, 0]) for organ in preds.organs] == [0.25, 0.5]
 
 
 class TestCaseIdRule:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grids import SUPPORT_CASES, float_grid, prediction_set, random_prediction_set, support_case
+from grids import (
+    SUPPORT_CASES,
+    float_grid,
+    prediction_set,
+    random_prediction_set,
+    support_case,
+    whole,
+)
 from oracles import (
     attention_union_oracle,
     flood_components,
@@ -19,7 +26,7 @@ from segqa.detect import (
     build_attention,
 )
 from segqa.ensemble import ensemble_label
-from segqa.volume import AlignmentError, SoftPrediction, labels_from_soft, stable_mean_std
+from segqa.volume import AlignmentError, PredictionSet, labels_from_soft, stable_mean_std
 
 
 class TestDetectionConfig:
@@ -46,7 +53,7 @@ class TestDetectionConfig:
 
 
 def _std(preds, organ_index=0):
-    return stable_mean_std([m.channels[organ_index].values for m in preds.members])[1]
+    return stable_mean_std(preds.organs[organ_index].crops)[1]
 
 
 class TestInconsistency:
@@ -102,7 +109,7 @@ class TestUncertainty:
 
     def test_map_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            SoftPrediction("m", (float_grid(np.full((1, 1, 1), 1.5)),))
+            prediction_set("c", [[np.full((1, 1, 1), 1.5)]])
 
     def test_map_values(self):
         out = binary_entropy(np.array([0.5, 0.0, 1.0], dtype=np.float32))
@@ -126,6 +133,13 @@ class TestOverlap:
     def test_single_channel_passing(self):
         channels = [np.full((1, 1, 1), v) for v in (0.6, 0.4, 0.4)]
         assert _overlap(channels)[0, 0, 0] == 0
+
+    def test_more_than_255_organs_passing(self):
+        # 256 organs pass at voxel 0, where a uint8 pass count would wrap to 0;
+        # only organ 1 passes at voxel 1.
+        channels = [np.array([[[1.0]], [[0.0]]], np.float32) for _ in range(256)]
+        channels[0] = np.ones((2, 1, 1), np.float32)
+        assert _overlap(channels)[:, 0, 0].tolist() == [1, 0]
 
 
 def _disagreement_case(dims=(6, 6, 6), blob_slice=(slice(1, 5), slice(1, 5), slice(2, 3))):
@@ -202,7 +216,7 @@ class TestBuildAttention:
         ps = random_prediction_set(rng, dims=(3, 4, 5), members=2, organs=2)
         amap = build_attention(ps)
         assert amap.union_mask.dims == (3, 4, 5)
-        assert amap.union_mask.spacing == ps.reference_grid.spacing
+        assert amap.union_mask.spacing == ps.grid.spacing
         assert all(m.dims == (3, 4, 5) for m in amap.per_organ_masks)
 
     def test_per_organ_mask_takes_overlap_where_organ_passes(self):
@@ -215,12 +229,10 @@ class TestBuildAttention:
         assert amap.organ_mask(2).values[0, 0, 0] == 1
 
     def test_misaligned_members_rejected(self):
-        from segqa.volume import PredictionSet, SoftPrediction
-
-        a = SoftPrediction("m1", (float_grid(np.zeros((2, 2, 2))),))
-        b = SoftPrediction("m2", (float_grid(np.zeros((2, 2, 2)), spacing=(2, 2, 2)),))
+        a = float_grid(np.zeros((2, 2, 2)))
+        b = float_grid(np.zeros((2, 2, 2)), spacing=(2, 2, 2))
         with pytest.raises(AlignmentError):
-            PredictionSet("c", (a, b))
+            PredictionSet.from_channels("c", ["m1", "m2"], [[a, b]])
 
 
 class TestReductionOracle:
@@ -280,6 +292,34 @@ class TestReductionOracle:
         assert shapes == [{(3, 2, 2)}, {(0, 0, 0)}]
         assert amap.per_organ_mm3 == (4.0, 0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.integers(2, 4),
+        kinds=st.lists(st.sampled_from(["no_zero", "all_zero", "boxes"]), min_size=1, max_size=4),
+    )
+    def test_crops_match_oracle_for_any_supports(self, seed, members, kinds):
+        """Organs with no exact zero (the box is the volume), all-zero organs
+        (an empty box) and organs whose members each fill their own box, with
+        -0.0 scattered outside it, reduce as the dense sorted stack does."""
+        rng = np.random.default_rng(seed)
+        dims = (5, 4, 3)
+        member_channels = [[] for _ in range(members)]
+        for kind in kinds:
+            for channels in member_channels:
+                ch = np.where(rng.random(dims) < 0.5, -0.0, 0.0).astype(np.float32)
+                if kind == "no_zero":
+                    ch = (rng.integers(1, 11, dims) / 10).astype(np.float32)
+                elif kind == "boxes":
+                    lo = [int(rng.integers(0, n)) for n in dims]
+                    box = tuple(slice(a, int(rng.integers(a + 1, n + 1))) for a, n in zip(lo, dims))
+                    ch[box] = rng.integers(0, 11, ch[box].shape) / 10
+                channels.append(ch)
+        cfg = DetectionConfig(binarize_threshold=0.3)
+        ps = prediction_set("c", member_channels)
+        ref = self.assert_attention_matches(build_attention(ps, cfg), member_channels, cfg)
+        assert np.array_equal(ensemble_label(ps, 0.3).grid.values, ref["labels"])
+
     # Member values of organ 1 whose float64 mean lies just below 0.3 while the
     # float32 mean rounds up to float32(0.3).
     EDGE = {2: [0.55, 0.049999985843896866], 3: [0.5, 0.3, 0.09999998658895493]}
@@ -326,5 +366,5 @@ class TestReductionOracle:
         amap, labels = build_attention(ps, cfg), ensemble_label(ps, 0.7)
         assert labels.grid.values[0, 0, 0] == 1
         assert amap.source_masks.overlap.values[0, 0, 0] == 0
-        expected = labels_from_soft([ps.reference_grid] * 2, 0.7).grid.values
+        expected = labels_from_soft(*whole([value] * 2), 0.7).grid.values
         assert np.array_equal(labels.grid.values, expected)

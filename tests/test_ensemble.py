@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grids import SUPPORT_CASES, prediction_set, random_prediction_set, support_case
+from grids import SUPPORT_CASES, prediction_set, support_case, whole
 from oracles import sorted_stack_reduction
 from segqa.detect import DetectionConfig
 from segqa.ensemble import ensemble_label
@@ -9,7 +9,7 @@ from segqa.volume import labels_from_soft, stable_mean
 
 
 def _means(preds, organ_index=0):
-    return stable_mean([m.channels[organ_index].values for m in preds.members])
+    return stable_mean(preds.organs[organ_index].crops)
 
 
 class TestMeanSoft:
@@ -35,9 +35,12 @@ class TestMeanSoft:
         assert np.array_equal(a, b)
 
     def test_bounded_by_member_envelope(self, rng):
-        ps = random_prediction_set(rng, members=3, organs=2)
+        member_channels = [
+            [rng.random((4, 4, 4), dtype=np.float32) for _ in range(2)] for _ in range(3)
+        ]
+        ps = prediction_set("c", member_channels)
         for c in range(2):
-            stack = np.stack([m.channels[c].values for m in ps.members])
+            stack = np.stack([channels[c] for channels in member_channels])
             assert np.all(_means(ps, c) >= stack.min(axis=0) - 1e-7)
             assert np.all(_means(ps, c) <= stack.max(axis=0) + 1e-7)
 
@@ -48,7 +51,7 @@ class TestEnsembleLabel:
         organ2 = ((rng.random((3, 3, 3)) < 0.4) & (organ1 == 0)).astype(np.float32)
         ps = prediction_set("c", [[organ1, organ2]] * 3)
         lv = ensemble_label(ps, 0.5)
-        single = labels_from_soft(list(ps.members[0].channels), 0.5)
+        single = labels_from_soft(*whole([organ1, organ2]), 0.5)
         assert np.array_equal(lv.grid.values, single.grid.values)
 
     def test_two_of_three_majority(self):
@@ -66,7 +69,7 @@ class TestEnsembleLabel:
     def test_single_member_is_its_own_consensus(self, rng):
         channels = [rng.random((3, 3, 3), dtype=np.float32) for _ in range(2)]
         ps = prediction_set("c", [channels])
-        expected = labels_from_soft(list(ps.members[0].channels), 0.5)
+        expected = labels_from_soft(*whole(channels), 0.5)
         assert np.array_equal(ensemble_label(ps, 0.5).grid.values, expected.grid.values)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grids import float_grid, make_grid, mask_grid
+from grids import WHOLE, float_grid, make_grid, mask_grid, whole
 from oracles import sorted_stack_mean_std, stacked_labels
 from segqa.volume import (
     AlignmentError,
@@ -147,35 +147,35 @@ class TestOrganLabelMap:
 class TestLabelsFromSoft:
     def test_clear_winner(self):
         lv = labels_from_soft(
-            [float_grid([[[0.9]]]), float_grid([[[0.1]]])], 0.5
+            *whole([float_grid([[[0.9]]]), float_grid([[[0.1]]])]), 0.5
         )
         assert lv.grid.values[0, 0, 0] == 1
 
     def test_below_threshold_is_background(self):
         lv = labels_from_soft(
-            [float_grid([[[0.3]]]), float_grid([[[0.3]]])], 0.5
+            *whole([float_grid([[[0.3]]]), float_grid([[[0.3]]])]), 0.5
         )
         assert lv.grid.values[0, 0, 0] == 0
 
     def test_threshold_is_inclusive(self):
-        lv = labels_from_soft([float_grid(np.array([0.49, 0.50]).reshape(2, 1, 1))], 0.5)
+        lv = labels_from_soft(*whole([float_grid(np.array([0.49, 0.50]).reshape(2, 1, 1))]), 0.5)
         assert lv.grid.values.ravel().tolist() == [0, 1]
 
     def test_rejects_bad_threshold(self):
         for threshold in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
-                labels_from_soft([float_grid(np.zeros((1, 1, 1)))], threshold)
+                labels_from_soft(*whole([float_grid(np.zeros((1, 1, 1)))]), threshold)
 
     def test_tie_breaks_to_lowest_code(self):
         lv = labels_from_soft(
-            [float_grid([[[0.6]]]), float_grid([[[0.6]]])], 0.5
+            *whole([float_grid([[[0.6]]]), float_grid([[[0.6]]])]), 0.5
         )
         assert lv.grid.values[0, 0, 0] == 1
 
     def test_misaligned_channels_rejected(self):
         with pytest.raises(AlignmentError):
             labels_from_soft(
-                [float_grid(np.zeros((2, 1, 1))), float_grid(np.zeros((1, 1, 1)))], 0.5
+                *whole([float_grid(np.zeros((2, 1, 1))), float_grid(np.zeros((1, 1, 1)))]), 0.5
             )
 
     @pytest.mark.parametrize("dtypes", [("f4",) * 4, ("f4", "u1", "f4", "i2")])
@@ -185,13 +185,13 @@ class TestLabelsFromSoft:
         arrays[2][:2] = arrays[1][:2]
         arrays[1][0, 0, 0] = -0.0
         for t in (0.05, 0.3, 0.5, 0.7, 0.95):
-            lv = labels_from_soft([make_grid(a, dtype=a.dtype) for a in arrays], t)
+            lv = labels_from_soft(*whole([make_grid(a, dtype=a.dtype) for a in arrays]), t)
             assert lv.grid.values.dtype == np.uint8
             assert np.array_equal(lv.grid.values, stacked_labels(arrays, t))
 
     def test_default_map_for_nine_channels(self):
         channels = [float_grid(np.zeros((1, 1, 1))) for _ in range(9)]
-        assert labels_from_soft(channels).labels == OrganLabelMap.default()
+        assert labels_from_soft(*whole(channels)).labels == OrganLabelMap.default()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3))
@@ -201,7 +201,7 @@ class TestLabelsFromSoft:
             float_grid(rng.random((side, side, side), dtype=np.float32))
             for _ in range(organs)
         ]
-        lv = labels_from_soft(channels, 0.5)
+        lv = labels_from_soft(*whole(channels), 0.5)
         assert int(lv.grid.values.max()) <= organs
 
 
@@ -239,28 +239,24 @@ class TestPhysicalVolume:
 class TestPredictionTypes:
     def test_probabilities_validated(self):
         with pytest.raises(ValueError):
-            SoftPrediction("m", (float_grid([[[1.5]]]),))
+            SoftPrediction(("m",), 1, WHOLE, (float_grid([[[1.5]]]).values,))
 
     def test_nan_probabilities_rejected_with_model_and_organ(self):
         ok = float_grid([[[0.5]]])
         with pytest.raises(ProbabilityRangeError, match=r"model 'm', organ 2\b") as exc:
-            SoftPrediction("m", (ok, float_grid([[[np.nan]]])))
+            PredictionSet.from_channels("c", ["m"], [[ok], [float_grid([[[np.nan]]])]])
         assert exc.value.code == 2
 
     def test_member_alignment_validated(self):
-        a = SoftPrediction("m1", (float_grid(np.zeros((2, 1, 1))),))
-        b = SoftPrediction("m2", (float_grid(np.zeros((1, 1, 1))),))
+        a = float_grid(np.zeros((2, 1, 1)))
+        b = float_grid(np.zeros((1, 1, 1)))
         with pytest.raises(AlignmentError):
-            PredictionSet("c", (a, b))
+            PredictionSet.from_channels("c", ["m1", "m2"], [[a, b]])
 
     def test_channel_count_must_match(self):
-        a = SoftPrediction("m1", (float_grid(np.zeros((1, 1, 1))),))
-        b = SoftPrediction(
-            "m2",
-            (float_grid(np.zeros((1, 1, 1))), float_grid(np.zeros((1, 1, 1)))),
-        )
+        zero = float_grid(np.zeros((1, 1, 1)))
         with pytest.raises(AlignmentError):
-            PredictionSet("c", (a, b))
+            PredictionSet.from_channels("c", ["m1", "m2"], [[zero, zero], [zero]])
 
     def test_label_volume_rejects_out_of_map_codes(self):
         with pytest.raises(ValueError):
@@ -303,7 +299,7 @@ class TestStableReductions:
         values = np.array([[[0, 1], [2, 0]]], dtype=np.uint8)
         lv = LabelVolume(make_grid(values, dtype=np.uint8), OrganLabelMap.generic(2))
         channels = soft_from_labels(lv)
-        back = labels_from_soft(list(channels), 0.5, lv.labels)
+        back = labels_from_soft(*whole(list(channels)), 0.5, lv.labels)
         assert np.array_equal(back.grid.values, values)
 
 
