@@ -36,6 +36,7 @@ import numpy as np
 from .detect import AttentionMap, DetectionConfig
 from .nifti import open_replacing, read_volume, write_volume
 from .volume import (
+    ChannelAlignmentError,
     LabelVolume,
     OrganLabelMap,
     PredictionSet,
@@ -182,7 +183,7 @@ def load_prediction_set(case_id: str, members: CaseChannels) -> PredictionSet:
             [d.name for d in dirs],
             ([read_volume(d / name) for d, name in zip(dirs, names)] for names in by_organ),
         )
-    except ProbabilityRangeError as exc:
+    except (ProbabilityRangeError, ChannelAlignmentError) as exc:
         model_dir, names = members[exc.member]
         raise CorpusError(f"case {case_id!r}: {model_dir / names[exc.code - 1]}: {exc}") from exc
 

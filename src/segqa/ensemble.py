@@ -29,7 +29,10 @@ def ensemble_label(
     inside the organ's support box; since the threshold is > 0, the zero mean
     outside it never labels a voxel.
     """
+    # C order, like labels_from_soft's own arrays: a whole-volume crop is the
+    # decoded channel, which is in x-fastest (Fortran) order.
     means = [
-        (organ.box, stable_mean(organ.crops).astype(np.float32)) for organ in preds.organs
+        (organ.box, stable_mean(organ.crops).astype(np.float32, order="C"))
+        for organ in preds.organs
     ]
     return labels_from_soft(preds.grid, means, binarize_threshold, labels)

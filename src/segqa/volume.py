@@ -50,6 +50,23 @@ class ProbabilityRangeError(ValueError):
         self.code = code
 
 
+class ChannelAlignmentError(AlignmentError):
+    """A member's soft channel is not on its case's voxel lattice.
+
+    ``member`` is the index of the model and ``code`` the organ.
+    """
+
+    def __init__(
+        self, model_id: str, member: int, code: int, case: VolumeGrid, channel: VolumeGrid
+    ):
+        super().__init__(
+            f"model {model_id!r}, organ {code}: channel is not grid-aligned with the "
+            f"case's first channel: {case.dims}/{case.spacing} vs {channel.dims}/{channel.spacing}"
+        )
+        self.member = member
+        self.code = code
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     view = arr.view()
     view.flags.writeable = False
@@ -275,7 +292,10 @@ class PredictionSet:
 
         ``organs`` yields, in code order, the members' dense channels of one
         organ. They are cropped and dropped before the next organ is drawn,
-        so a generator that decodes them holds K dense channels at a time.
+        so a generator that decodes them holds K dense channels at a time
+        besides the crops. Where an organ's box is the whole volume, the
+        crops are the channels themselves: a case with no exact zeros is held
+        as all of its dense channels, and no smaller.
         """
         model_ids = tuple(model_ids)
         if not model_ids:
@@ -285,14 +305,10 @@ class PredictionSet:
         # No enumerate(): its reused result tuple would keep the last organ's
         # dense channels alive while the next organ is drawn.
         for channels in organs:
-            code = len(cropped) + 1
             if grid is None:
                 grid = channels[0].with_values(np.broadcast_to(np.uint8(0), channels[0].dims))
-            require_aligned(grid, *channels, context=f"channels of case {case_id!r}, organ {code}")
-            box = support_box([ch.values for ch in channels])
-            crops = tuple(ch.values[box].copy() for ch in channels)
+            cropped.append(_crop_organ(grid, model_ids, len(cropped) + 1, channels))
             del channels
-            cropped.append(SoftPrediction(model_ids, code, box, crops))
         return cls(case_id, grid, tuple(cropped))
 
     @property
@@ -306,6 +322,32 @@ class PredictionSet:
     @property
     def num_organs(self) -> int:
         return len(self.organs)
+
+
+def _crop_organ(
+    grid: VolumeGrid, model_ids: tuple[str, ...], code: int, channels: Sequence[VolumeGrid]
+) -> SoftPrediction:
+    """One organ's members' dense channels on ``grid``, cropped to their support box."""
+    if len(channels) != len(model_ids):
+        raise AlignmentError(
+            f"organ {code}: {len(channels)} member channels for {len(model_ids)} models"
+        )
+    for k, ch in enumerate(channels):
+        if not grids_aligned(grid, ch):
+            raise ChannelAlignmentError(model_ids[k], k, code, grid, ch)
+    box = support_box([ch.values for ch in channels])
+    # A box short of the volume is copied so the dense channel can be freed. A
+    # whole-volume box (channels with no exact zero, say) keeps the decoded
+    # arrays themselves: a copy would only hold each channel twice.
+    whole = all(s.stop - s.start == n for s, n in zip(box, grid.dims))
+    crops = [ch.values[box] if whole else ch.values[box].copy() for ch in channels]
+    try:
+        return SoftPrediction(model_ids, code, box, crops)
+    except ProbabilityRangeError as exc:
+        # Report the whole channel's range; the crop's leaves out the zeros around it.
+        values = channels[exc.member].values
+        lo, hi = float(values.min()), float(values.max())
+        raise ProbabilityRangeError(model_ids[exc.member], exc.member, code, lo, hi) from None
 
 
 def _require_binary(mask: VolumeGrid, op: str) -> np.ndarray:

@@ -185,6 +185,45 @@ class TestLoad:
         assert "case 'c'" in message and "model 'gamma', organ 2" in message
         assert str(tmp_path / "gamma" / "c_organ2.nii.gz") in message
 
+    def test_misaligned_channel_names_case_model_organ_and_file(self, tmp_path):
+        for model in ("alpha", "beta"):
+            for code in (1, 2):
+                values = np.zeros((4, 4, 4), dtype=np.float32)
+                values[1:3, 1:3, 1:3] = 0.5
+                spacing = (2.0, 1.0, 1.0) if (model, code) == ("beta", 2) else (1.0, 1.0, 1.0)
+                path = tmp_path / model / f"c_organ{code}.nii.gz"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write_volume(VolumeGrid(values, spacing), path)
+        index = discover_cases([tmp_path / "alpha", tmp_path / "beta"])
+        with pytest.raises(CorpusError, match="not grid-aligned") as exc:
+            load_prediction_set("c", index.members["c"])
+        message = str(exc.value)
+        assert "case 'c'" in message and "model 'beta', organ 2" in message
+        assert str(tmp_path / "beta" / "c_organ2.nii.gz") in message
+
+    def test_channels_without_zeros_are_held_once(self, tmp_path):
+        """A channel with no exact zero has the whole volume as its box; the
+        loaded case holds each decoded channel once, with no dense copy."""
+        dims, models, organs = (32, 32, 24), ("m0", "m1", "m2"), (1, 2, 3, 4)
+        for k, model in enumerate(models):
+            for code in organs:
+                values = np.full(dims, 1e-30)
+                values[2 * code:2 * code + 5, 3:9, 4:8] = 0.1 * (k + code)
+                write_float(tmp_path / model / f"c_organ{code}.nii.gz", values)
+        members = discover_cases([tmp_path / m for m in models]).members["c"]
+        load_prediction_set("c", members)  # first calls warm up outside the measurement
+        tracemalloc.start()
+        try:
+            preds = load_prediction_set("c", members)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        channel = int(np.prod(dims)) * 4
+        dense = len(models) * len(organs) * channel
+        assert all(crop.shape == dims for organ in preds.organs for crop in organ.crops)
+        assert held < dense + channel // 4
+        assert peak < dense + len(models) * channel
+
     def test_held_bytes_do_not_grow_with_the_volume(self, tmp_path):
         """Eight times the volume around the same organ boxes: the loaded case
         holds less than one dense channel more."""

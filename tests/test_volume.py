@@ -247,6 +247,12 @@ class TestPredictionTypes:
             PredictionSet.from_channels("c", ["m"], [[ok], [float_grid([[[np.nan]]])]])
         assert exc.value.code == 2
 
+    def test_range_error_reports_the_whole_channel(self):
+        values = np.zeros((3, 3, 3))
+        values[1, 1, 1] = 1.5
+        with pytest.raises(ProbabilityRangeError, match=r"range 0\.0\.\.1\.5$"):
+            PredictionSet.from_channels("c", ["m"], [[float_grid(values)]])
+
     def test_member_alignment_validated(self):
         a = float_grid(np.zeros((2, 1, 1)))
         b = float_grid(np.zeros((1, 1, 1)))
