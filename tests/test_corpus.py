@@ -221,7 +221,7 @@ class TestLoad:
         channel = int(np.prod(dims)) * 4
         dense = len(models) * len(organs) * channel
         assert all(crop.shape == dims for organ in preds.organs for crop in organ.crops)
-        assert held < dense + channel // 4
+        assert held < dense + channel
         assert peak < dense + len(models) * channel
 
     def test_held_bytes_do_not_grow_with_the_volume(self, tmp_path):
