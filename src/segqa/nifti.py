@@ -2,15 +2,28 @@
 
 Only the single-file little-endian flavor is handled (extension .nii or
 .nii.gz), with uint8, int16 and float32 payloads; that covers the public
-abdominal CT corpora this toolkit targets. The reader is defensive: it never
-sizes an allocation from header fields without first checking the bytes are
-actually present, so arbitrary input degrades to a structured error rather
-than a crash.
+abdominal CT corpora this toolkit targets. The reader is defensive, so
+arbitrary input degrades to a structured error rather than a crash. It never
+sizes an allocation from header fields beyond what the input can fill: a
+plain file's data section must be present in the bytes read, and a gzip
+buffer of the declared size is allocated only when that size is at most
+1032 times the compressed bytes, deflate's largest expansion.
+
+zlib inflates the first bytes of a gzip member to read the header. When the
+system libdeflate is installed (loaded once, at import, through ctypes), it
+then inflates the whole member straight into one buffer of exactly the
+declared size, and the voxels are a view of that buffer. Everything else
+goes through zlib, with its output capped at one byte past the declared
+size: no library, a size beyond the 1032:1 bound, or a member libdeflate
+does not decode to exactly that size. So every error is raised by the zlib
+path, and the voxels are the same on either path.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import ctypes.util
 import gzip
 import math
 import os
@@ -159,11 +172,13 @@ def parse_header(buf: bytes) -> NiftiHeader:
     )
 
 
-def _gunzip_upto(data: bytes, limit: int) -> bytes:
+def _gunzip_upto(data: bytes, limit: int) -> tuple[bytes, zlib._Decompress]:
     """Decompress at most `limit` bytes of a gzip stream held in memory.
 
     Capping the output keeps a forged header from driving allocation beyond
     what the stream actually contains plus the amount the caller asked for.
+    Returns the bytes and the zlib decompressor, which tells whether the
+    member ended (``eof``) and holds the input not yet inflated.
     """
     decomp = zlib.decompressobj(16 + zlib.MAX_WBITS)
     chunks: list[bytes] = []
@@ -181,7 +196,89 @@ def _gunzip_upto(data: bytes, limit: int) -> bytes:
                 break
     except zlib.error as exc:
         raise NiftiFormatError(f"gzip stream: {exc}") from exc
-    return b"".join(chunks)
+    return b"".join(chunks), decomp
+
+
+def _gunzip_member(data: bytes, size: int) -> bytes:
+    """Inflate with zlib a gzip member whose header declares `size` bytes.
+
+    zlib is asked for one byte more, so it reads on to the member's end and
+    checks the CRC-32 and size trailer there. A short member is returned as
+    it is, for the caller's truncation error.
+    """
+    buf, decomp = _gunzip_upto(data, size + 1)
+    if len(buf) > size:
+        held = len(buf)
+        try:
+            while decomp.unconsumed_tail and not decomp.eof:
+                held += len(decomp.decompress(decomp.unconsumed_tail, 1 << 20))
+            held += len(decomp.flush())
+        except zlib.error as exc:
+            raise NiftiFormatError(f"gzip stream: {exc}") from exc
+        raise NiftiFormatError(
+            f"gzip stream: member holds {held} bytes, the header declares {size}"
+        )
+    if len(buf) == size and not decomp.eof:
+        raise TruncatedFileError("gzip stream: ends before the member's CRC-32 and size trailer")
+    return buf
+
+
+def _load_libdeflate():
+    """The system libdeflate with the three functions the reader calls declared, or None."""
+    try:
+        lib = ctypes.CDLL("libdeflate.so.0")
+    except OSError:
+        name = ctypes.util.find_library("deflate")
+        if name is None:
+            return None
+        try:
+            lib = ctypes.CDLL(name)
+        except OSError:
+            return None
+    try:
+        lib.libdeflate_alloc_decompressor.argtypes = []
+        lib.libdeflate_alloc_decompressor.restype = ctypes.c_void_p
+        lib.libdeflate_gzip_decompress.argtypes = [
+            ctypes.c_void_p,  # decompressor
+            ctypes.c_char_p, ctypes.c_size_t,  # in, in_nbytes
+            ctypes.c_void_p, ctypes.c_size_t,  # out, out_nbytes_avail
+            ctypes.c_void_p,  # actual_out_nbytes_ret
+        ]
+        lib.libdeflate_gzip_decompress.restype = ctypes.c_int
+        lib.libdeflate_free_decompressor.argtypes = [ctypes.c_void_p]
+        lib.libdeflate_free_decompressor.restype = None
+    except AttributeError:
+        return None
+    return lib
+
+
+_LIBDEFLATE = _load_libdeflate()
+# Deflate's largest expansion: a 258-byte match coded in two bits.
+_MAX_INFLATE_RATIO = 1032
+
+
+def _libdeflate_gunzip(data: bytes, size: int) -> np.ndarray | None:
+    """The gzip member in `data` inflated by libdeflate into exactly `size` bytes.
+
+    None when the library is not loaded, when `data` is too short to inflate
+    to `size` bytes, or when the member does not decode, with a matching
+    CRC-32 and size trailer, to exactly `size` bytes.
+    """
+    lib = _LIBDEFLATE
+    if lib is None or size > _MAX_INFLATE_RATIO * len(data):
+        return None
+    out = np.empty(size, dtype=np.uint8)
+    decomp = lib.libdeflate_alloc_decompressor()
+    if not decomp:
+        return None
+    try:
+        # No actual-size pointer: success means the member filled `out` exactly.
+        status = lib.libdeflate_gzip_decompress(
+            decomp, data, len(data), out.ctypes.data, size, None
+        )
+    finally:
+        lib.libdeflate_free_decompressor(decomp)
+    return out if status == 0 else None
 
 
 def _read_source(source: Source) -> tuple[bytes, str]:
@@ -215,10 +312,12 @@ def read_volume(source: Source) -> VolumeGrid:
 
 def _decode(raw: bytes) -> VolumeGrid:
     if raw[:2] == GZIP_MAGIC:
-        head = _gunzip_upto(raw, VOX_OFFSET)
+        head, _ = _gunzip_upto(raw, VOX_OFFSET)
         header = parse_header(head)
         needed = header.vox_offset + _payload_bytes(header)
-        buf = _gunzip_upto(raw, needed)
+        buf = _libdeflate_gunzip(raw, needed)
+        if buf is None:
+            buf = _gunzip_member(raw, needed)
     else:
         buf = raw
         header = parse_header(buf)

@@ -1,10 +1,13 @@
 import gzip
+import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from grids import make_grid
+from segqa import nifti
 from segqa.nifti import (
     HEADER_SIZE,
     BadDimensionError,
@@ -44,7 +47,55 @@ def hand_built_file(
     return bytes(header) + b"\x00\x00\x00\x00" + payload
 
 
+def soft_channel(dims=(64, 64, 32)) -> np.ndarray:
+    """A float32 organ channel: 1 inside an ellipsoid, a logistic rim, exact 0 beyond."""
+    axes = np.ogrid[: dims[0], : dims[1], : dims[2]]
+    radii = (dims[0] / 5, dims[1] / 6, dims[2] / 4)
+    d2 = sum(((ax - n / 2) / r) ** 2 for ax, n, r in zip(axes, dims, radii))
+    p = (1.0 / (1.0 + np.exp((np.sqrt(d2) - 1.0) / 0.12))).astype(np.float32)
+    p[p < 0.01] = 0.0
+    return p
+
+
+class SpyLibdeflate:
+    """Stands in for the loaded libdeflate and records each gzip_decompress status."""
+
+    def __init__(self, lib):
+        self.libdeflate_alloc_decompressor = lib.libdeflate_alloc_decompressor
+        self.libdeflate_free_decompressor = lib.libdeflate_free_decompressor
+        self._decompress = lib.libdeflate_gzip_decompress
+        self.statuses: list[int] = []
+
+    def libdeflate_gzip_decompress(self, *args):
+        status = self._decompress(*args)
+        self.statuses.append(status)
+        return status
+
+
+@pytest.fixture(autouse=True)
+def inflater(request, monkeypatch):
+    """Run a class's reads under the inflater its ``inflater`` attribute names.
+
+    "libdeflate" needs the system library and is skipped without it; "zlib"
+    hides the library, so every gzip read takes the zlib path.
+    """
+    name = getattr(request.cls, "inflater", None)
+    if name == "zlib":
+        monkeypatch.setattr(nifti, "_LIBDEFLATE", None)
+    elif name == "libdeflate" and nifti._LIBDEFLATE is None:
+        pytest.skip("libdeflate is not installed")
+
+
+@pytest.fixture
+def libdeflate_spy(monkeypatch):
+    spy = SpyLibdeflate(nifti._LIBDEFLATE)
+    monkeypatch.setattr(nifti, "_LIBDEFLATE", spy)
+    return spy
+
+
 class TestRead:
+    inflater = "libdeflate"
+
     def test_hand_built_uint8_volume(self):
         grid = read_volume(hand_built_file())
         assert grid.dims == (2, 2, 2)
@@ -140,8 +191,45 @@ class TestRead:
         grid = read_volume(__import__("gzip").compress(padded))
         assert grid.values.sum() == 8
 
+    def test_bit_flips_raise_or_decode_unchanged(self, tmp_path):
+        # A flipped bit in the deflate data can still inflate to the declared
+        # size; only the member's CRC-32 trailer tells the voxels are wrong.
+        path = tmp_path / "case0000_organ5.nii.gz"
+        write_volume(make_grid(soft_channel()), path)
+        blob = path.read_bytes()
+        want = read_volume(blob).values
+        pick = random.Random(1)
+        for _ in range(300):
+            pos = pick.randrange(10, len(blob) - 8)
+            flipped = bytearray(blob)
+            flipped[pos] ^= 1 << pick.randrange(8)
+            try:
+                got = read_volume(bytes(flipped)).values
+            except NiftiFormatError:
+                continue
+            unchanged = np.array_equal(got, want)
+            assert unchanged, f"bit flip in byte {pos} decoded to wrong voxels, no error"
+
+    def test_gzip_member_cut_before_its_trailer(self):
+        blob = gzip.compress(hand_built_file())
+        with pytest.raises(TruncatedFileError, match="trailer"):
+            read_volume(blob[:-4])
+
+    def test_member_longer_than_declared(self, tmp_path):
+        raw = hand_built_file() + b"\x07" * 100
+        path = tmp_path / "long.nii.gz"
+        path.write_bytes(gzip.compress(raw))
+        with pytest.raises(NiftiFormatError, match=r"long.nii.gz.*460 bytes.*declares 360"):
+            read_volume(path)
+
+
+class TestReadZlib(TestRead):
+    inflater = "zlib"
+
 
 class TestRoundTrip:
+    inflater = "libdeflate"
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32])
     @pytest.mark.parametrize("compress", [False, True])
     def test_exact(self, tmp_path, rng, dtype, compress):
@@ -184,7 +272,13 @@ class TestRoundTrip:
         assert np.allclose(read_volume(path).affine, affine)
 
 
+class TestRoundTripZlib(TestRoundTrip):
+    inflater = "zlib"
+
+
 class TestFuzz:
+    inflater = "libdeflate"
+
     def test_random_bytes_never_crash(self):
         rng = np.random.default_rng(99)
         for _ in range(500):
@@ -207,6 +301,57 @@ class TestFuzz:
                 read_volume(bytes(mutated))
             except NiftiFormatError:
                 pass
+
+
+class TestFuzzZlib(TestFuzz):
+    inflater = "zlib"
+
+
+class TestLibdeflate:
+    inflater = "libdeflate"
+
+    def test_near_maximal_ratio_stays_on_fast_path(self, tmp_path, libdeflate_spy):
+        path = tmp_path / "empty_organ.nii.gz"
+        write_volume(make_grid(np.zeros((128, 128, 64), np.float32)), path)
+        assert 128 * 128 * 64 * 4 / path.stat().st_size > 1000
+        grid = read_volume(path)
+        assert libdeflate_spy.statuses == [0]
+        assert grid.values.dtype == np.float32 and not grid.values.any()
+
+    def test_header_beyond_deflate_bound_reads_through_zlib(self, monkeypatch, libdeflate_spy):
+        # 1 GiB claimed by a member of a few dozen bytes: more than the 1032:1
+        # deflate can reach, so no buffer of that size is allocated.
+        blob = gzip.compress(hand_built_file(shape=(1024, 1024, 1024), payload=b"\x01" * 8))
+        with pytest.raises(TruncatedFileError, match="data section") as got:
+            read_volume(blob)
+        assert libdeflate_spy.statuses == []
+        monkeypatch.setattr(nifti, "_LIBDEFLATE", None)
+        with pytest.raises(TruncatedFileError) as zlib_only:
+            read_volume(blob)
+        assert str(got.value) == str(zlib_only.value)
+
+    def test_corrupt_member_falls_back_to_zlib(self, libdeflate_spy):
+        blob = bytearray(gzip.compress(hand_built_file()))
+        blob[-8] ^= 0xFF
+        with pytest.raises(NiftiFormatError, match="gzip stream: .*incorrect data check"):
+            read_volume(bytes(blob))
+        assert len(libdeflate_spy.statuses) == 1 and libdeflate_spy.statuses[0] != 0
+
+    def test_decode_peak_below_one_and_a_quarter_channels(self, tmp_path):
+        values = soft_channel((128, 128, 64))
+        path = tmp_path / "organ.nii.gz"
+        write_volume(make_grid(values), path)
+        file_bytes = path.stat().st_size
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            grid = read_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(grid.values, values)
+        assert values.nbytes >= 4 << 20
+        assert peak < 1.25 * values.nbytes + file_bytes, (peak, values.nbytes, file_bytes)
 
 
 class TestWriteByRename:
