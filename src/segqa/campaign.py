@@ -26,18 +26,13 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence, get_origin, get_type_hints
 
 import numpy as np
+from scipy import ndimage
 
 from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
 from .nifti import open_replacing
 from .regions import mean_label_dsc
-from .volume import (
-    LabelVolume,
-    PredictionSet,
-    VolumeGrid,
-    require_aligned,
-    soft_from_labels,
-)
+from .volume import EMPTY_BOX, LabelVolume, PredictionSet, VolumeGrid, require_aligned
 
 STATE_VERSION = 1
 STATUSES = ("pending", "revised", "confirmed")
@@ -396,13 +391,16 @@ class LoopReport:
 
 def _labels_as_predictions(case_id: str, label: LabelVolume, loop_index: int) -> PredictionSet:
     # Identical 0/1 members have std 0 and a mean equal to the channel, whatever
-    # their count, so two (the fewest build_attention accepts) stand in for K.
-    # Each organ's channel is made, cropped and dropped before the next.
-    return PredictionSet.from_channels(
-        case_id,
-        [f"revised-loop{loop_index}-m{k}" for k in range(2)],
-        ((channel, channel) for channel in soft_from_labels(label)),
-    )
+    # their count, so two (the fewest build_attention accepts) share one crop.
+    # An organ's bounding box in the labels is the support box of its channel.
+    values = label.grid.values
+    organs = []
+    for code, box in zip(label.labels.codes, ndimage.find_objects(values, len(label.labels))):
+        box = box or EMPTY_BOX
+        crop = (values[box] == code).astype(np.float32)
+        organs.append((box, (crop, crop)))
+    model_ids = [f"revised-loop{loop_index}-m{k}" for k in range(2)]
+    return PredictionSet.from_crops(case_id, model_ids, label.grid, organs)
 
 
 def run_loop(

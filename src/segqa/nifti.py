@@ -9,14 +9,16 @@ plain file's data section must be present in the bytes read, and a gzip
 buffer of the declared size is allocated only when that size is at most
 1032 times the compressed bytes, deflate's largest expansion.
 
-zlib inflates the first bytes of a gzip member to read the header. When the
-system libdeflate is installed (loaded once, at import, through ctypes), it
-then inflates the whole member straight into one buffer of exactly the
-declared size, and the voxels are a view of that buffer. Everything else
-goes through zlib, with its output capped at one byte past the declared
-size: no library, a size beyond the 1032:1 bound, or a member libdeflate
-does not decode to exactly that size. So every error is raised by the zlib
-path, and the voxels are the same on either path.
+zlib inflates the first bytes of a gzip member to read the header, and its
+decompressor, with the copy of the input it did not consume, is dropped
+before the voxel buffer is allocated. When the system libdeflate is
+installed (loaded once, at import, through ctypes), it then inflates the
+whole member straight into one buffer of exactly the declared size, and the
+voxels are a view of that buffer. Everything else goes through zlib, with
+its output capped at one byte past the declared size: no library, a size
+beyond the 1032:1 bound, or a member libdeflate does not decode to exactly
+that size. So every error is raised by the zlib path, and the voxels are the
+same on either path.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def parse_header(buf: bytes) -> NiftiHeader:
 
 
 def _gunzip_upto(data: bytes, limit: int) -> tuple[bytes, zlib._Decompress]:
-    """Decompress at most `limit` bytes of a gzip stream held in memory.
+    """Inflate a gzip stream up to `limit` bytes, the member's end or the end of `data`.
 
     Capping the output keeps a forged header from driving allocation beyond
     what the stream actually contains plus the amount the caller asked for.
@@ -181,22 +183,10 @@ def _gunzip_upto(data: bytes, limit: int) -> tuple[bytes, zlib._Decompress]:
     member ended (``eof``) and holds the input not yet inflated.
     """
     decomp = zlib.decompressobj(16 + zlib.MAX_WBITS)
-    chunks: list[bytes] = []
-    total = 0
-    buf = data
     try:
-        while buf and total < limit:
-            piece = decomp.decompress(buf, limit - total)
-            if not piece and not decomp.unconsumed_tail:
-                break
-            chunks.append(piece)
-            total += len(piece)
-            buf = decomp.unconsumed_tail
-            if decomp.eof:
-                break
+        return decomp.decompress(data, limit), decomp
     except zlib.error as exc:
         raise NiftiFormatError(f"gzip stream: {exc}") from exc
-    return b"".join(chunks), decomp
 
 
 def _gunzip_member(data: bytes, size: int) -> bytes:
@@ -312,8 +302,8 @@ def read_volume(source: Source) -> VolumeGrid:
 
 def _decode(raw: bytes) -> VolumeGrid:
     if raw[:2] == GZIP_MAGIC:
-        head, _ = _gunzip_upto(raw, VOX_OFFSET)
-        header = parse_header(head)
+        # No name keeps the decompressor, so its copy of the file dies here.
+        header = parse_header(_gunzip_upto(raw, VOX_OFFSET)[0])
         needed = header.vox_offset + _payload_bytes(header)
         buf = _libdeflate_gunzip(raw, needed)
         if buf is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -229,6 +229,7 @@ class LabelVolume:
 
 
 Box = tuple[slice, slice, slice]
+EMPTY_BOX: Box = (slice(0, 0),) * 3  # holds no voxel; slicing with it still works
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +268,7 @@ class PredictionSet:
 
     ``organs[c]`` is organ code c + 1. ``grid`` carries the case geometry
     without its voxels: its values are one zero broadcast to the case dims.
-    Build it with :meth:`from_channels`.
+    Build it with :meth:`from_channels`, or :meth:`from_crops` once cropped.
     """
 
     case_id: str
@@ -280,6 +281,19 @@ class PredictionSet:
             raise ValueError(f"case {self.case_id!r}: need at least one organ channel")
         if any(o.model_ids != self.model_ids for o in self.organs[1:]):
             raise AlignmentError(f"case {self.case_id!r}: organs disagree on the member models")
+
+    @classmethod
+    def from_crops(
+        cls,
+        case_id: str,
+        model_ids: Sequence[str],
+        grid: VolumeGrid,
+        organs: Iterable[tuple[Box, Sequence[np.ndarray]]],
+    ) -> "PredictionSet":
+        """Each organ's box and member crops, in code order, on the geometry of ``grid``."""
+        model_ids = tuple(model_ids)
+        organs = [SoftPrediction(model_ids, c, *o) for c, o in enumerate(organs, start=1)]
+        return cls(case_id, _geometry(grid), tuple(organs))
 
     @classmethod
     def from_channels(
@@ -306,7 +320,7 @@ class PredictionSet:
         # dense channels alive while the next organ is drawn.
         for channels in organs:
             if grid is None:
-                grid = channels[0].with_values(np.broadcast_to(np.uint8(0), channels[0].dims))
+                grid = _geometry(channels[0])
             cropped.append(_crop_organ(grid, model_ids, len(cropped) + 1, channels))
             del channels
         return cls(case_id, grid, tuple(cropped))
@@ -322,6 +336,11 @@ class PredictionSet:
     @property
     def num_organs(self) -> int:
         return len(self.organs)
+
+
+def _geometry(grid: VolumeGrid) -> VolumeGrid:
+    """``grid``'s geometry without its voxels: one zero broadcast to its dims."""
+    return grid.with_values(np.broadcast_to(np.uint8(0), grid.dims))
 
 
 def _crop_organ(
@@ -412,14 +431,6 @@ def physical_volume(mask: VolumeGrid) -> float:
     return float(np.count_nonzero(v)) * mask.voxel_volume_mm3
 
 
-def soft_from_labels(label: LabelVolume) -> Iterator[VolumeGrid]:
-    """Hard 0/1 probability channels from a label volume, one per organ code, made on demand."""
-    return (
-        label.grid.with_values((label.grid.values == code).astype(np.float32))
-        for code in label.labels.codes
-    )
-
-
 def support_box(arrays: Sequence[np.ndarray]) -> tuple[slice, ...]:
     """Smallest box holding every voxel where any of the arrays is ``!= 0``.
 
@@ -436,7 +447,7 @@ def support_box(arrays: Sequence[np.ndarray]) -> tuple[slice, ...]:
     for hits in (nonzero.any(axis=(1, 2)), yz.any(axis=1), yz.any(axis=0)):
         idx = np.flatnonzero(hits)
         if not idx.size:
-            return (slice(0, 0),) * 3
+            return EMPTY_BOX
         box.append(slice(int(idx[0]), int(idx[-1]) + 1))
     return tuple(box)
 

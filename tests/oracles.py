@@ -21,7 +21,8 @@ before it read every organ's counts from one joint histogram.
 The two-pass loop runner is ``run_loop`` as the library ran it before it
 made one pass per case: it reduced every case into a table, ranked the table
 with ``CaseEntry`` rows, and then revised and scored every case in a second
-pass; later loops recycled the revised labels as one member per loop-0 model.
+pass; later loops recycled the revised labels as one member per loop-0 model,
+each organ's dense 0/1 channel made and then cropped to its support box.
 
 The report and state writers are the metrics JSON, the metrics CSV and the
 campaign state as the library wrote them while it listed each record's
@@ -274,8 +275,17 @@ def per_organ_mean_dsc(a: np.ndarray, b: np.ndarray, codes) -> float:
     return float(np.mean(scores))
 
 
-def _labels_as_predictions(case_id, label, members, loop_index):
-    from segqa.volume import PredictionSet, soft_from_labels
+def soft_from_labels(label):
+    """Hard 0/1 float32 channels of a label volume, one per organ code, made on demand."""
+    return (
+        label.grid.with_values((label.grid.values == code).astype(np.float32))
+        for code in label.labels.codes
+    )
+
+
+def labels_as_predictions(case_id, label, members, loop_index):
+    """A label volume as `members` identical hard members, cropped from dense channels."""
+    from segqa.volume import PredictionSet
 
     return PredictionSet.from_channels(
         case_id,
@@ -322,7 +332,7 @@ def two_pass_run_loop(loop0, truths, cfg=None, policy=None):
                 preds = loop0[cid]
                 member_count = member_count or preds.num_members
             else:
-                preds = _labels_as_predictions(cid, revised.pop(cid), member_count, loop_index)
+                preds = labels_as_predictions(cid, revised.pop(cid), member_count, loop_index)
             amap = build_attention(preds, cfg)
             pseudo = ensemble_label(preds, cfg.binarize_threshold, truths[cid].labels)
             reduced[cid] = (amap.total_mm3, amap.union_mask, pseudo)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from collections.abc import Mapping
 from pathlib import Path
@@ -26,6 +27,7 @@ from segqa.campaign import (
     LoopPolicy,
     MissingPredictionsError,
     UnknownCaseError,
+    _labels_as_predictions,
     _read_state,
     _write_state,
     estimate_workload,
@@ -583,6 +585,73 @@ class TestRunLoop:
         reports = run_loop(FreshLookups(sets, make=looked_up(PredictionSet)), truths)
         assert len(reports) == 2
         assert alive_at_lookup == [0] * (2 * len(sets))
+
+
+def label_volume(values, organs, dtype=np.uint8, spacing=(1.0, 1.0, 1.0)):
+    return LabelVolume(make_grid(values, spacing, dtype), OrganLabelMap.generic(organs))
+
+
+def nine_organ_labels(dims):
+    """Nine disjoint boxes of codes 1..9 in a 3 x 3 layout, background around them."""
+    values = np.zeros(dims, np.uint8)
+    nx, ny, nz = dims
+    for code in range(1, 10):
+        i, j = divmod(code - 1, 3)
+        x, y = i * nx // 3 + 4, j * ny // 3 + 4
+        values[x : x + nx // 6, y : y + ny // 6, nz // 4 : 3 * nz // 4] = code
+    return values
+
+
+class TestLabelsAsPredictions:
+    """Later loops' hard members, against dense 0/1 channels cropped by from_channels."""
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            # organ 3 absent
+            label_volume(np.random.default_rng(0).integers(0, 3, (7, 6, 5)), 3),
+            # organ 2 fills the volume, organs 1 and 3 absent
+            label_volume(np.full((4, 5, 3), 2), 3),
+            # no background, one organ in a single voxel
+            label_volume(np.where(np.arange(60).reshape(5, 4, 3) == 17, 1, 2), 2),
+            # no organ at all
+            label_volume(np.zeros((3, 3, 3)), 2),
+            label_volume(np.random.default_rng(1).integers(0, 5, (8, 7, 6)), 4, np.int16,
+                         spacing=(0.5, 0.75, 2.0)),
+            # x-fastest labels, as a decoded volume holds them
+            label_volume(np.asfortranarray(nine_organ_labels((24, 21, 8))), 9),
+        ],
+        ids=["absent", "fills", "no-background", "empty", "int16", "x-fastest"],
+    )
+    def test_matches_cropped_dense_channels(self, label):
+        got = _labels_as_predictions("c7", label, 2)
+        want = oracles.labels_as_predictions("c7", label, 2, 2)
+        assert got.case_id == want.case_id and got.model_ids == want.model_ids
+        assert got.grid.dims == want.grid.dims and got.grid.spacing == want.grid.spacing
+        assert got.grid.affine is label.grid.affine is want.grid.affine
+        assert got.grid.values.dtype == want.grid.values.dtype
+        assert np.array_equal(got.grid.values, want.grid.values)
+        assert [o.code for o in got.organs] == [o.code for o in want.organs]
+        for ours, ref in zip(got.organs, want.organs):
+            assert ours.box == ref.box
+            for a, b in zip(ours.crops, ref.crops):
+                assert a.dtype == b.dtype == np.float32
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_peak_below_one_float32_channel(self):
+        dims = (128, 128, 48)
+        label = label_volume(nine_organ_labels(dims), 9)
+        channel_bytes = 4 * dims[0] * dims[1] * dims[2]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            preds = _labels_as_predictions("c", label, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(o.crops[0].any() for o in preds.organs)
+        assert peak < channel_bytes, (peak, channel_bytes)
 
 
 def loop_corpus(seed, cases, dims=(6, 5, 4), members=3, organs=2):

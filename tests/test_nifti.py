@@ -2,6 +2,7 @@ import gzip
 import random
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ def hand_built_file(
         n = shape[0] * shape[1] * shape[2] * (bitpix // 8)
         payload = bytes([1]) * n
     return bytes(header) + b"\x00\x00\x00\x00" + payload
+
+
+def gzip_member(payload: bytes, extra: bytes = b"", comment: bytes = b"") -> bytes:
+    """One gzip member, built by hand, whose FEXTRA and FCOMMENT fields hold the given bytes."""
+    flags = (4 if extra else 0) | (16 if comment else 0)
+    head = b"\x1f\x8b\x08" + bytes([flags]) + b"\x00\x00\x00\x00\x00\xff"
+    if extra:
+        head += struct.pack("<H", len(extra)) + extra
+    if comment:
+        head += comment + b"\x00"
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS)
+    body = deflate.compress(payload) + deflate.flush()
+    return head + body + struct.pack("<II", zlib.crc32(payload), len(payload))
 
 
 def soft_channel(dims=(64, 64, 32)) -> np.ndarray:
@@ -222,6 +236,14 @@ class TestRead:
         with pytest.raises(NiftiFormatError, match=r"long.nii.gz.*460 bytes.*declares 360"):
             read_volume(path)
 
+    def test_long_gzip_header_fields(self):
+        raw = hand_built_file(payload=bytes(range(8)))
+        blob = gzip_member(raw, extra=b"x" * 65535, comment=b"c" * 4096)
+        assert np.array_equal(read_volume(blob).values, read_volume(raw).values)
+        # Cut inside the comment: no deflate data is left.
+        with pytest.raises(TruncatedFileError, match="header: need 348 bytes, stream has 0"):
+            read_volume(blob[: len(blob) - len(raw) - 100])
+
 
 class TestReadZlib(TestRead):
     inflater = "zlib"
@@ -337,11 +359,14 @@ class TestLibdeflate:
             read_volume(bytes(blob))
         assert len(libdeflate_spy.statuses) == 1 and libdeflate_spy.statuses[0] != 0
 
-    def test_decode_peak_below_one_and_a_quarter_channels(self, tmp_path):
+    def test_decode_peak_is_the_channel_and_the_file(self, tmp_path):
+        # The header's inflater, and its copy of the file, are gone before the
+        # channel's buffer is allocated.
         values = soft_channel((128, 128, 64))
         path = tmp_path / "organ.nii.gz"
         write_volume(make_grid(values), path)
         file_bytes = path.stat().st_size
+        assert file_bytes > 150_000
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -351,7 +376,7 @@ class TestLibdeflate:
             tracemalloc.stop()
         assert np.array_equal(grid.values, values)
         assert values.nbytes >= 4 << 20
-        assert peak < 1.25 * values.nbytes + file_bytes, (peak, values.nbytes, file_bytes)
+        assert peak <= values.nbytes + file_bytes + 100_000, (peak, values.nbytes, file_bytes)
 
 
 class TestWriteByRename:

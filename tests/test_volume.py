@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from grids import WHOLE, float_grid, make_grid, mask_grid, whole
 from oracles import sorted_stack_mean_std, stacked_labels
+from segqa.campaign import _labels_as_predictions
+from segqa.ensemble import ensemble_label
 from segqa.volume import (
     AlignmentError,
     LabelVolume,
@@ -18,7 +20,6 @@ from segqa.volume import (
     grids_aligned,
     labels_from_soft,
     physical_volume,
-    soft_from_labels,
     stable_mean,
     stable_mean_std,
     support_box,
@@ -302,10 +303,11 @@ class TestStableReductions:
         assert np.array_equal(s1, s2) and np.array_equal(s1, s3)
 
     def test_round_trip_through_one_hot(self):
-        values = np.array([[[0, 1], [2, 0]]], dtype=np.uint8)
-        lv = LabelVolume(make_grid(values, dtype=np.uint8), OrganLabelMap.generic(2))
-        channels = soft_from_labels(lv)
-        back = labels_from_soft(*whole(list(channels)), 0.5, lv.labels)
+        # Labels recycled as hard members, as later campaign loops do, average
+        # back to the same labels.
+        values = np.array([[[0, 1], [2, 0]], [[0, 0], [0, 2]]], dtype=np.uint8)
+        lv = LabelVolume(make_grid(values, dtype=np.uint8), OrganLabelMap.generic(3))
+        back = ensemble_label(_labels_as_predictions("c", lv, 1), 0.5, lv.labels)
         assert np.array_equal(back.grid.values, values)
 
 
