@@ -78,8 +78,9 @@ class CaseEntry:
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
             raise CampaignError(f"unknown status {self.status!r}")
-        if self.total_mm3 < 0:
-            raise CampaignError(f"case {self.case_id!r}: negative attention size")
+        if not 0 <= self.total_mm3 < math.inf:
+            raise CampaignError(f"case {self.case_id!r}: attention size must be finite and "
+                                f">= 0, got {self.total_mm3!r}")
         object.__setattr__(self, "error_tags", tuple(self.error_tags))
 
 

@@ -28,7 +28,7 @@ from . import campaign as camp
 from . import corpus, regions
 from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
-from .nifti import NiftiFormatError, write_volume
+from .nifti import NiftiFormatError, read_volume, write_volume
 from .volume import LabelVolume, OrganLabelMap, VolumeGrid
 
 PROG = "segqa"
@@ -172,9 +172,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         case_id = str(s["case_id"])
         if case_id not in pseudo_files or case_id not in truth_files:
             raise corpus.CorpusError(f"case {case_id!r}: missing pseudo or truth labels")
-        attention_masks = corpus.load_attention_masks(args.attention, case_id, organ_count)
         pseudo = corpus.load_label_volume(pseudo_files[case_id], labels)
         truth = corpus.load_label_volume(truth_files[case_id], labels)
+        # One organ's mask is read as it is scored.
+        attention_masks = (
+            read_volume(corpus.attention_organ_path(Path(args.attention), case_id, code))
+            for code in labels.codes
+        )
         cases[case_id] = regions.evaluate_case(
             case_id, attention_masks, pseudo, truth, connectivity=args.connectivity
         )

@@ -276,7 +276,8 @@ def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
     Every sidecar must carry the organ names and detection config of the
     first one, so the cases can share one ranking, report and campaign, and
     a case id that no other sidecar has. Its sizes must be finite numbers
-    >= 0: ``total_mm3`` one, ``per_organ_mm3`` an object of them.
+    >= 0: ``total_mm3`` one, ``per_organ_mm3`` an object of them keyed by
+    exactly the names in ``organ_names``.
     """
     attention_dir = Path(attention_dir)
     if not attention_dir.is_dir():
@@ -304,19 +305,14 @@ def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
         if not isinstance(per_organ, dict) or not all(map(_is_size, per_organ.values())):
             raise CorpusError(f"{path}: field 'per_organ_mm3' must be an object of finite "
                               f"numbers >= 0, got {per_organ!r}")
+        names = sizes[-1].get("organ_names")
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                and sorted(per_organ) == sorted(names)):
+            raise CorpusError(f"{path}: field 'per_organ_mm3' must have one key per name in "
+                              f"'organ_names' {names!r}, got {sorted(per_organ)!r}")
     if not sizes:
         raise CorpusError(f"{attention_dir}: no *_sizes.json files found")
     return sorted(sizes, key=lambda s: s["case_id"])
-
-
-def load_attention_masks(
-    attention_dir: str | Path, case_id: str, organ_count: int
-) -> list[VolumeGrid]:
-    attention_dir = Path(attention_dir)
-    return [
-        read_volume(attention_organ_path(attention_dir, case_id, code))
-        for code in range(1, organ_count + 1)
-    ]
 
 
 # -- small serialization helpers ----------------------------------------------
@@ -335,7 +331,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[o
 
 
 def read_ranking_csv(path: str | Path) -> list[dict[str, object]]:
-    """Rows of a ranking CSV as dicts with numeric rank and total_mm3."""
+    """Rows of a ranking CSV as dicts with numeric rank and total_mm3 (finite, >= 0)."""
     with open(path, newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
     if not rows:
@@ -343,4 +339,7 @@ def read_ranking_csv(path: str | Path) -> list[dict[str, object]]:
     for row in rows:
         row["rank"] = int(row["rank"])
         row["total_mm3"] = float(row["total_mm3"])
+        if not _is_size(row["total_mm3"]):
+            raise CorpusError(f"{path}: case {row['case_id']!r}: field 'total_mm3' must be "
+                              f"a finite number >= 0, got {row['total_mm3']!r}")
     return rows

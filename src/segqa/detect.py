@@ -24,6 +24,10 @@ every threshold is > 0 (:class:`DetectionConfig`): where all K members are 0
 fires and the organ does not pass the binarize threshold. Per-organ work
 therefore scales with the organ's nonzero support, not with the volume;
 channels with no exact zero get a box the size of the volume.
+
+An organ's attention mask is held the same way, as its uint8 crop of the
+organ's support box: only the union is a whole volume.
+:meth:`AttentionMap.organ_mask` expands one organ's mask when it is written.
 """
 
 from __future__ import annotations
@@ -79,32 +83,28 @@ class DetectionConfig:
 
 
 @dataclass(frozen=True)
-class CriterionMasks:
-    """The three binary source masks the attention union is built from."""
-
-    inconsistency: VolumeGrid
-    uncertainty: VolumeGrid
-    overlap: VolumeGrid
-
-
-@dataclass(frozen=True)
 class AttentionMap:
     """Binary attention volume plus per-organ sub-masks and sizes in mm^3.
 
-    per_organ_masks[i] belongs to organ code i + 1. The union mask equals the
-    voxelwise OR of the source masks after speckle filtering; per-organ masks
-    are not speckle-filtered.
+    organ_crops[i] belongs to organ code i + 1: the organ's support box and
+    its uint8 mask inside it; the mask is 0 outside the box. The union mask
+    equals the voxelwise OR of the criterion masks after speckle filtering;
+    per-organ masks are not speckle-filtered.
     """
 
     case_id: str
     union_mask: VolumeGrid
-    per_organ_masks: tuple[VolumeGrid, ...]
-    source_masks: CriterionMasks
+    organ_crops: tuple[tuple[Box, np.ndarray], ...]
     per_organ_mm3: tuple[float, ...]
     total_mm3: float
 
     def organ_mask(self, code: int) -> VolumeGrid:
-        return self.per_organ_masks[code - 1]
+        """One organ's mask as a whole volume on the union's grid."""
+        box, crop = self.organ_crops[code - 1]
+        # x-fastest, as NIfTI stores voxels: writing it copies, not transposes, the volume.
+        mask = np.zeros(self.union_mask.dims, dtype=np.uint8, order="F")
+        mask[box] = crop
+        return self.union_mask.with_values(mask)
 
 
 def binary_entropy(p: np.ndarray | float) -> np.ndarray | float:
@@ -141,8 +141,7 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
     grid = preds.grid
     dims = grid.dims
 
-    inconsistent_any = np.zeros(dims, dtype=bool)
-    uncertain_any = np.zeros(dims, dtype=bool)
+    union = np.zeros(dims, dtype=bool)
     # Voxels where one organ passes, and where a second one does too: overlap
     # is "passed twice", for any number of organs and with no count array.
     passed = np.zeros(dims, dtype=bool)
@@ -153,36 +152,26 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
     for organ in preds.organs:
         box = organ.box
         mean, std = stable_mean_std(organ.crops)
-        inconsistent = std >= cfg.std_threshold
-        uncertain = binary_entropy(mean) >= cfg.entropy_threshold
+        part = (std >= cfg.std_threshold) | (binary_entropy(mean) >= cfg.entropy_threshold)
         passes = mean >= cfg.binarize_threshold
 
-        inconsistent_any[box] |= inconsistent
-        uncertain_any[box] |= uncertain
+        union[box] |= part
         overlap[box] |= passed[box] & passes
         passed[box] |= passes
-        organs.append((box, inconsistent | uncertain, passes))
-
-    union = inconsistent_any | uncertain_any | overlap
+        organs.append((box, part, passes))
+    union |= overlap
 
     union_grid = grid.with_values(union.astype(np.uint8))
     if cfg.min_component_voxels > 1:
         union_grid = regions.remove_small_components(union_grid, cfg.min_component_voxels)
 
-    per_organ = []
-    for box, part, passes in organs:
-        mask = np.zeros(dims, dtype=np.uint8)
-        mask[box] = part | (overlap[box] & passes)
-        per_organ.append(grid.with_values(mask))
+    crops = tuple(
+        (box, (part | (overlap[box] & passes)).astype(np.uint8)) for box, part, passes in organs
+    )
     return AttentionMap(
         case_id=preds.case_id,
         union_mask=union_grid,
-        per_organ_masks=tuple(per_organ),
-        source_masks=CriterionMasks(
-            inconsistency=grid.with_values(inconsistent_any.astype(np.uint8)),
-            uncertainty=grid.with_values(uncertain_any.astype(np.uint8)),
-            overlap=grid.with_values(overlap.astype(np.uint8)),
-        ),
-        per_organ_mm3=tuple(physical_volume(m) for m in per_organ),
+        organ_crops=crops,
+        per_organ_mm3=tuple(float(np.count_nonzero(c)) * grid.voxel_volume_mm3 for _, c in crops),
         total_mm3=physical_volume(union_grid),
     )

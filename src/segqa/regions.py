@@ -11,7 +11,7 @@ where the metric means something.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -209,33 +209,35 @@ def false_positive_scan(
 
 def evaluate_case(
     case_id: str,
-    attention_masks: Sequence[VolumeGrid],
+    attention_masks: Iterable[VolumeGrid],
     pseudo: LabelVolume,
     truth: LabelVolume,
     connectivity: int = 26,
 ) -> dict[str, OrganMetrics]:
     """Score one case's per-organ attention masks against the error benchmark.
 
-    attention_masks[i] belongs to organ code i + 1 of the pseudo label map.
-    The metrics are keyed by organ name, in code order.
+    attention_masks yields the mask of each organ code of the pseudo label
+    map in code order; each is taken only when its organ is scored. The
+    metrics are keyed by organ name, in code order.
     """
     if pseudo.labels.codes != truth.labels.codes:
         raise AlignmentError("pseudo and truth label volumes use different organ maps")
-    if len(attention_masks) != len(pseudo.labels):
-        raise ValueError(
-            f"case {case_id!r}: {len(attention_masks)} attention masks for "
-            f"{len(pseudo.labels)} organs"
-        )
+    scored = zip(pseudo.labels.entries, _organ_dscs(pseudo, truth), attention_masks, strict=True)
     organs: dict[str, OrganMetrics] = {}
-    for (code, name), organ_dsc in zip(pseudo.labels.entries, _organ_dscs(pseudo, truth)):
+    while True:
+        # Only taking the next mask is guarded: a mask that fails to load, or a
+        # mask count that differs from the organ count, names the case.
+        try:
+            (code, name), organ_dsc, attention = next(scored)
+        except StopIteration:
+            return organs
+        except ValueError as exc:
+            raise ValueError(f"case {case_id!r}: attention masks: {exc}") from exc
         benchmark = error_region(pseudo.organ_mask(code), truth.organ_mask(code))
-        sensitivity, precision, counts = componentwise_metrics(
-            attention_masks[code - 1], benchmark, connectivity
-        )
+        sensitivity, precision, counts = componentwise_metrics(attention, benchmark, connectivity)
         organs[name] = OrganMetrics(
             sensitivity=sensitivity, precision=precision, dsc=organ_dsc, **vars(counts)
         )
-    return organs
 
 
 METRICS_CSV_HEADER = ("case_id", "organ", *(f.name for f in fields(OrganMetrics)))

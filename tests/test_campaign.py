@@ -365,6 +365,9 @@ class TestMalformedState:
             with_entry(per_organ_mm3=[1.0]),
             with_entry(total_mm3="2.0"),
             with_entry(total_mm3=None),
+            with_entry(total_mm3=float("nan")),
+            with_entry(total_mm3=float("inf")),
+            with_entry(total_mm3=-1.0),
             with_entry(status=5),
             with_entry(status="done"),
             with_entry(loop_seen=1.5),
@@ -455,7 +458,6 @@ class TestSimulateRevision:
         assert mean_label_dsc(out, truth) >= mean_label_dsc(pseudo, truth)
 
     def test_voxelwise_identity_against_where_oracle(self, rng):
-        from segqa.detect import AttentionMap, CriterionMasks
         from grids import mask_grid
 
         labels = OrganLabelMap.generic(2)
@@ -463,18 +465,9 @@ class TestSimulateRevision:
             pseudo_values = rng.integers(0, 3, (4, 4, 4)).astype(np.uint8)
             truth_values = rng.integers(0, 3, (4, 4, 4)).astype(np.uint8)
             att = (rng.random((4, 4, 4)) < 0.4).astype(np.uint8)
-            union = mask_grid(att)
-            amap = AttentionMap(
-                case_id="r",
-                union_mask=union,
-                per_organ_masks=(union, union),
-                source_masks=CriterionMasks(union, union, union),
-                per_organ_mm3=(0.0, 0.0),
-                total_mm3=0.0,
-            )
             pseudo = LabelVolume(make_grid(pseudo_values, dtype=np.uint8), labels)
             truth = LabelVolume(make_grid(truth_values, dtype=np.uint8), labels)
-            out = simulate_revision(pseudo, truth, amap.union_mask)
+            out = simulate_revision(pseudo, truth, mask_grid(att))
             expected = np.where(att != 0, truth_values, pseudo_values)
             assert np.array_equal(out.grid.values, expected)
 

@@ -501,6 +501,41 @@ class TestEvaluateCli:
         assert organ["precision"] is None
         assert "undefined" in metrics.with_suffix(".csv").read_text()
 
+    def test_peak_memory_does_not_grow_with_the_organ_count(self, tmp_path):
+        """Nine more organs must cost less than one organ's attention mask:
+        evaluate reads each mask as it scores the organ."""
+        dims = (32, 32, 16)
+        rng = np.random.default_rng(5)
+
+        def case_of(organs: int) -> list[str]:
+            root = tmp_path / f"organs{organs}"
+            for code in range(1, organs + 1):
+                mask = np.zeros(dims, np.uint8)
+                mask[code:code + 4, 4:12, 2:6] = 1
+                write_labels(root / "att" / f"c_attention_organ{code}.nii.gz", mask)
+            names = [f"organ{code}" for code in range(1, organs + 1)]
+            (root / "att" / "c_sizes.json").write_text(json.dumps({
+                "case_id": "c", "organ_names": names, "per_organ_mm3": dict.fromkeys(names, 1.0),
+                "total_mm3": 1.0, "config": {},
+            }))
+            for labels in ("pseudo", "truth"):
+                write_labels(root / labels / "c.nii.gz", rng.integers(0, organs + 1, size=dims))
+            return ["evaluate", "--attention", str(root / "att"), "--pseudo", str(root / "pseudo"),
+                    "--truth", str(root / "truth"), "--out", str(root / "metrics.json")]
+
+        def peak(argv: list[str]) -> int:
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = case_of(9), case_of(18)
+        for argv in (few, many):  # as in the simulate test below: warm up both
+            assert main(argv) == 0
+        assert peak(many) - peak(few) < int(np.prod(dims))
+
 
 class TestCampaignCli:
     def test_init_status_mark_stop(self, blob_corpus, capsys):
@@ -664,8 +699,11 @@ class TestSidecarSizes:
         ("per_organ_mm3", 5),
         ("per_organ_mm3", {"organ1": float("nan")}),
         ("per_organ_mm3", {"organ1": -2.0}),
+        ("per_organ_mm3", {"organ2": 1.0}),
+        ("per_organ_mm3", {}),
+        ("per_organ_mm3", {"organ1": 1.0, "organ2": 1.0}),
     ], ids=["total-nan", "total-negative", "total-string", "organs-number", "organ-nan",
-            "organ-negative"])
+            "organ-negative", "organ-renamed", "organ-missing", "organ-extra"])
     def bad(self, request, blob_corpus):
         root, _ = blob_corpus
         out = root / "attention"
@@ -754,7 +792,11 @@ class TestSimulateCli:
                 tracemalloc.stop()
 
         small, large = corpus_of(2), corpus_of(6)
-        assert main(small) == 0  # first calls warm up outside the measurement
+        # First calls warm up outside the measurement. Both corpora warm up: the
+        # first read of a path interns its parts, and a resize of the
+        # interpreter's intern table inside the measurement is no memory of ours.
+        for argv in (small, large):
+            assert main(argv) == 0
         one_case_channels = len(MODELS) * organs * int(np.prod(dims)) * 4
         assert peak(large) - peak(small) < one_case_channels
 
@@ -913,6 +955,17 @@ class TestNonFiniteThresholds:
         assert main(["select", "--ranking", str(ranking), "--threshold-mm3", value,
                      "--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("total", ["nan", "inf", "-1.0"])
+    def test_select_rejects_ranking_total(self, tmp_path, capsys, total):
+        ranking = tmp_path / "ranking.csv"
+        ranking.write_text(f"rank,case_id,total_mm3\n1,a,{total}\n2,b,5.0\n")
+        out = tmp_path / "selected.csv"
+        assert main(["select", "--ranking", str(ranking), "--threshold-mm3", "0",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(ranking) in err and "'total_mm3'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--minutes", "--hours"])

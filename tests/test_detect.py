@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,10 +117,27 @@ class TestUncertainty:
         assert out[0] == 1.0 and out[1] == 0.0 and out[2] == 0.0
 
 
-def _overlap(channels):
-    """Overlap mask of two identical members, so each channel is its own mean."""
+# Thresholds under which one criterion alone fills the union of three members
+# whose means never reach 0.999 nor equal 0.5: three members' population std is
+# at most sqrt(2)/3 < 0.5, and the entropy reaches 1 only at a mean of 0.5.
+ALONE = {
+    name: DetectionConfig(std_threshold=std, entropy_threshold=entropy, binarize_threshold=bin_)
+    for name, std, entropy, bin_ in [
+        ("inconsistency", 0.1, 1.0, 0.999),
+        ("uncertainty", 0.5, 0.5, 0.999),
+        ("overlap", 0.5, 1.0, 0.3),
+    ]
+}
+
+
+def _overlap(channels, binarize_threshold=0.5):
+    """Overlap mask of two identical members: each channel is its own mean and
+    the std is 0, so with no mean of 0.5 the entropy threshold of 1 leaves
+    overlap alone in the union."""
+    assert not any((ch == 0.5).any() for ch in channels)
     ps = prediction_set("c", [channels, channels])
-    return build_attention(ps).source_masks.overlap.values
+    cfg = DetectionConfig(entropy_threshold=1.0, binarize_threshold=binarize_threshold)
+    return build_attention(ps, cfg).union_mask.values
 
 
 class TestOverlap:
@@ -129,6 +147,10 @@ class TestOverlap:
     def test_two_channels_passing(self):
         channels = [np.full((1, 1, 1), v) for v in (0.6, 0.7, 0.1)]
         assert _overlap(channels)[0, 0, 0] == 1
+
+    def test_mean_at_the_binarize_threshold_passes(self):
+        channels = [np.full((1, 1, 1), 0.75) for _ in range(2)]
+        assert _overlap(channels, binarize_threshold=0.75)[0, 0, 0] == 1
 
     def test_single_channel_passing(self):
         channels = [np.full((1, 1, 1), v) for v in (0.6, 0.4, 0.4)]
@@ -182,15 +204,24 @@ class TestBuildAttention:
             build_attention(ps)
 
     def test_union_is_or_of_sources(self, rng):
+        # Each criterion alone makes the union (the others are empty under its
+        # ALONE thresholds), and at the defaults the union is the OR of all three.
+        found = dict.fromkeys(ALONE, 0)
         for _ in range(25):
-            ps = random_prediction_set(rng, dims=(4, 4, 4), members=3, organs=2)
-            amap = build_attention(ps)
-            expected = (
-                (amap.source_masks.inconsistency.values != 0)
-                | (amap.source_masks.uncertainty.values != 0)
-                | (amap.source_masks.overlap.values != 0)
-            )
-            assert np.array_equal(amap.union_mask.values != 0, expected)
+            member_channels = [
+                [rng.random((4, 4, 4), dtype=np.float32) for _ in range(2)] for _ in range(3)
+            ]
+            ps = prediction_set("c", member_channels)
+            for criterion, cfg in ALONE.items():
+                ref = TestReductionOracle.assert_attention_matches(
+                    build_attention(ps, cfg), member_channels, cfg
+                )
+                assert not any(ref[k].any() for k in ALONE if k != criterion)
+                found[criterion] += int(ref[criterion].sum())
+            ref = sorted_stack_reduction(member_channels, DetectionConfig())
+            expected = ref["inconsistency"] | ref["uncertainty"] | ref["overlap"]
+            assert np.array_equal(build_attention(ps).union_mask.values != 0, expected)
+        assert all(found.values())
 
     def test_union_matches_brute_force_oracle(self, rng):
         cfg = DetectionConfig()
@@ -217,16 +248,37 @@ class TestBuildAttention:
         amap = build_attention(ps)
         assert amap.union_mask.dims == (3, 4, 5)
         assert amap.union_mask.spacing == ps.grid.spacing
-        assert all(m.dims == (3, 4, 5) for m in amap.per_organ_masks)
+        for code in (1, 2):
+            assert amap.organ_mask(code).dims == (3, 4, 5)
+            assert amap.organ_mask(code).spacing == ps.grid.spacing
 
     def test_per_organ_mask_takes_overlap_where_organ_passes(self):
-        # both organs claim the voxel confidently in all members
+        # both organs claim the voxel confidently in all members: std and entropy
+        # are 0, so only overlap can put it in the union and the organ masks
         one = np.ones((1, 1, 1), dtype=np.float32)
         ps = prediction_set("c", [[one, one], [one, one]])
         amap = build_attention(ps)
-        assert amap.source_masks.overlap.values[0, 0, 0] == 1
+        assert amap.union_mask.values[0, 0, 0] == 1
         assert amap.organ_mask(1).values[0, 0, 0] == 1
         assert amap.organ_mask(2).values[0, 0, 0] == 1
+
+    def test_map_holds_organ_masks_as_box_crops(self):
+        # Nine organs in small boxes, each half flagged by disagreement: the map
+        # holds the union as a whole volume and each organ's mask as its crop.
+        dims, organs = (48, 48, 24), 9
+        member_channels = [[np.zeros(dims, np.float32) for _ in range(organs)] for _ in range(2)]
+        for c in range(organs):
+            member_channels[0][c][4 * c:4 * c + 4, 8:14, 4:10] = 1.0
+            member_channels[1][c][4 * c:4 * c + 2, 8:14, 4:10] = 1.0
+        ps = prediction_set("c", member_channels)
+        tracemalloc.start()
+        try:
+            amap = build_attention(ps)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(amap.organ_mask(c + 1).values.sum() == 72 for c in range(organs))
+        assert held < 2 * int(np.prod(dims))
 
     def test_misaligned_members_rejected(self):
         a = float_grid(np.zeros((2, 2, 2)))
@@ -240,7 +292,8 @@ class TestReductionOracle:
 
     @staticmethod
     def assert_attention_matches(amap, member_channels, cfg):
-        """Every mask and size of amap equals the oracle's; returns the oracle."""
+        """Every mask and size of amap equals the oracle's, and so does the union
+        under each of the ALONE thresholds; returns the oracle at cfg."""
         ref = sorted_stack_reduction(member_channels, cfg)
         union = ref["union"]
         if cfg.min_component_voxels > 1:
@@ -250,11 +303,13 @@ class TestReductionOracle:
                     union[tuple(np.array(sorted(blob)).T)] = True
         assert np.array_equal(amap.union_mask.values != 0, union)
         assert amap.total_mm3 == float(union.sum())
-        for key in ("inconsistency", "uncertainty", "overlap"):
-            assert np.array_equal(getattr(amap.source_masks, key).values != 0, ref[key])
         for c, expected in enumerate(ref["per_organ"]):
-            assert np.array_equal(amap.per_organ_masks[c].values != 0, expected)
+            assert np.array_equal(amap.organ_mask(c + 1).values != 0, expected)
             assert amap.per_organ_mm3[c] == float(expected.sum())
+        ps = prediction_set("c", member_channels)
+        for alone in ALONE.values():
+            got = build_attention(ps, alone).union_mask.values != 0
+            assert np.array_equal(got, sorted_stack_reduction(member_channels, alone)["union"])
         return ref
 
     @pytest.mark.parametrize("min_component", [0, 3])
@@ -268,8 +323,9 @@ class TestReductionOracle:
     def test_overlap_spans_support_boxes(self, rng):
         member_channels = support_case("overlapping_boxes", rng)
         amap = build_attention(prediction_set("c", member_channels))
-        overlap = amap.source_masks.overlap.values != 0
-        assert overlap[2:4, :, :2].all()  # where the boxes of organs 1 and 2 intersect
+        # Where the boxes of organs 1 and 2 intersect, every member gives organ 1
+        # a 1.0 (std and entropy 0): its mask holds these voxels only as overlap.
+        assert amap.union_mask.values[2:4, :, :2].all()
         assert amap.organ_mask(1).values[2:4, :, :2].all()
         assert amap.organ_mask(2).values[2:4, :, :2].all()
 
@@ -359,12 +415,14 @@ class TestReductionOracle:
 
     def test_label_gate_compares_in_float32(self):
         # float32(0.7) < 0.7: the voxel is labelled as labels_from_soft labels it,
-        # though its float64 mean does not pass for attention.
-        cfg = DetectionConfig(binarize_threshold=0.7)
+        # though its float64 mean does not pass for attention. The members agree
+        # and H(0.7) < 1, so at the entropy threshold of 1 only overlap could
+        # put the voxel in the union.
+        cfg = DetectionConfig(binarize_threshold=0.7, entropy_threshold=1.0)
         value = np.full((1, 1, 1), 0.7, dtype=np.float32)
         ps = prediction_set("c", [[value, value]] * 2)
         amap, labels = build_attention(ps, cfg), ensemble_label(ps, 0.7)
         assert labels.grid.values[0, 0, 0] == 1
-        assert amap.source_masks.overlap.values[0, 0, 0] == 0
+        assert amap.union_mask.values[0, 0, 0] == 0
         expected = labels_from_soft(*whole([value] * 2), 0.7).grid.values
         assert np.array_equal(labels.grid.values, expected)

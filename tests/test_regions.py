@@ -418,6 +418,14 @@ class TestEvaluateCase:
                 got = report[name].dsc
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_mask_count_mismatch_names_the_case(self, count):
+        labels = OrganLabelMap.generic(2)
+        pseudo = truth = LabelVolume(make_grid(np.zeros((2, 2, 2), np.uint8)), labels)
+        masks = (mask_grid(np.zeros((2, 2, 2), bool)) for _ in range(count))
+        with pytest.raises(ValueError, match="case 'c7': attention masks"):
+            evaluate_case("c7", masks, pseudo, truth)
+
 
 defined_or_not = st.none() | st.floats(0, 1)
 organ_metrics = st.builds(
