@@ -6,7 +6,7 @@ errors (``bench/corpusgen.py``): three models, nine organs and a truth label
 map. The case is streamed one channel at a time, because holding all 27
 channels at 512 x 512 x 380 takes 10.8 GB; inputs are gzipped at level 1 to
 keep generation short. The voxels equal ``corpusgen.make_case``'s for the
-same seed. Then ``detect``, ``ensemble``, ``evaluate`` and ``simulate`` each
+same seed (``tests/test_scripts.py`` checks this at 48 x 40 x 24). Then ``detect``, ``ensemble``, ``evaluate`` and ``simulate`` each
 run in a fresh process, and one JSON line per command gives its wall time
 and ``ru_maxrss``.
 

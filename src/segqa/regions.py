@@ -222,22 +222,24 @@ def evaluate_case(
     """
     if pseudo.labels.codes != truth.labels.codes:
         raise AlignmentError("pseudo and truth label volumes use different organ maps")
-    scored = zip(pseudo.labels.entries, _organ_dscs(pseudo, truth), attention_masks, strict=True)
+    masks = iter(attention_masks)
     organs: dict[str, OrganMetrics] = {}
-    while True:
-        # Only taking the next mask is guarded: a mask that fails to load, or a
-        # mask count that differs from the organ count, names the case.
-        try:
-            (code, name), organ_dsc, attention = next(scored)
+    for (code, name), organ_dsc in zip(pseudo.labels.entries, _organ_dscs(pseudo, truth)):
+        try:  # a mask that fails to load, or a missing mask, names the case
+            attention = next(masks)
         except StopIteration:
-            return organs
+            raise ValueError(f"case {case_id!r}: attention masks: fewer than organs") from None
         except ValueError as exc:
             raise ValueError(f"case {case_id!r}: attention masks: {exc}") from exc
         benchmark = error_region(pseudo.organ_mask(code), truth.organ_mask(code))
         sensitivity, precision, counts = componentwise_metrics(attention, benchmark, connectivity)
+        del attention, benchmark  # freed before the next read (a zip's tuple would keep the mask)
         organs[name] = OrganMetrics(
             sensitivity=sensitivity, precision=precision, dsc=organ_dsc, **vars(counts)
         )
+    if next(masks, None) is not None:
+        raise ValueError(f"case {case_id!r}: attention masks: more than organs")
+    return organs
 
 
 METRICS_CSV_HEADER = ("case_id", "organ", *(f.name for f in fields(OrganMetrics)))

@@ -1,4 +1,5 @@
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +426,23 @@ class TestEvaluateCase:
         masks = (mask_grid(np.zeros((2, 2, 2), bool)) for _ in range(count))
         with pytest.raises(ValueError, match="case 'c7': attention masks"):
             evaluate_case("c7", masks, pseudo, truth)
+
+    def test_previous_mask_released_before_the_next_is_read(self):
+        """One organ's attention mask is alive at a time, also while the next is read."""
+        labels = OrganLabelMap.generic(3)
+        pseudo = truth = LabelVolume(make_grid(np.ones((2, 2, 2), np.uint8)), labels)
+        given = []
+
+        def remembered(mask):
+            given.append(weakref.ref(mask))
+            return mask
+
+        def masks():  # yields each mask without holding it while suspended
+            for _ in labels.codes:
+                assert [ref() for ref in given if ref() is not None] == []
+                yield remembered(mask_grid(np.ones((2, 2, 2), bool)))
+
+        assert list(evaluate_case("c", masks(), pseudo, truth)) == list(labels.names)
 
 
 defined_or_not = st.none() | st.floats(0, 1)

@@ -1,7 +1,12 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from segqa.nifti import read_volume
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -25,3 +30,24 @@ def test_demo_scripts_end_to_end(tmp_path):
     assert report["loops"][-1]["stopped"] is True
     assert (corpus / "work" / "ranking.csv").exists()
     assert (corpus / "work" / "metrics.json").exists()
+
+
+def test_probe_case_equals_the_benchmark_generators(tmp_path):
+    """probe_memory streams corpusgen.make_case's case, so both must stay voxel for voxel equal."""
+    spec = importlib.util.spec_from_file_location("probe_memory", SCRIPTS / "probe_memory.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)  # puts bench/ on sys.path
+    import corpusgen
+
+    dims = (48, 40, 24)
+    probe.write_case(tmp_path, dims)
+    truth, models = corpusgen.make_case(np.random.default_rng(probe.SEED), dims)
+    grid = read_volume(tmp_path / "truth" / f"{probe.CASE}.nii.gz")
+    assert grid.spacing == tuple(float(np.float32(s)) for s in corpusgen.SPACING)
+    assert grid.values.dtype == truth.dtype and np.array_equal(grid.values, truth)
+    assert len(models) == corpusgen.MODELS
+    for k, channels in enumerate(models):
+        for o, expected in enumerate(channels):
+            path = tmp_path / f"model{k}" / f"{probe.CASE}_organ{o + 1}.nii.gz"
+            values = read_volume(path).values
+            assert values.dtype == np.float32 and np.array_equal(values, expected), path
