@@ -33,8 +33,8 @@ from .regions import (
     connected_components,
     dsc,
     dsc_matrix,
-    error_region,
     false_positive_scan,
+    organ_error,
 )
 from .volume import (
     AlignmentError,
@@ -71,11 +71,11 @@ __all__ = [
     "dsc",
     "dsc_matrix",
     "ensemble_label",
-    "error_region",
     "estimate_workload",
     "false_positive_scan",
     "labels_from_soft",
     "mark_case",
+    "organ_error",
     "physical_volume",
     "rank_cases",
     "read_volume",

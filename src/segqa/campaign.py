@@ -449,6 +449,7 @@ def run_loop(
             else:
                 preds = _labels_as_predictions(cid, labels.pop(cid), loop_index)
             truth = truths[cid]
+            require_aligned(preds.grid, truth.grid, context=f"case {cid!r}: predictions/truth")
             amap = build_attention(preds, cfg)
             pseudo = ensemble_label(preds, cfg.binarize_threshold, truth.labels)
             attention_mm3, union_mask = amap.total_mm3, amap.union_mask

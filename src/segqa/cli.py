@@ -29,7 +29,7 @@ from . import corpus, regions
 from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
 from .nifti import NiftiFormatError, read_volume, write_volume
-from .volume import LabelVolume, OrganLabelMap, VolumeGrid
+from .volume import LabelVolume, OrganLabelMap, VolumeGrid, require_aligned
 
 PROG = "segqa"
 
@@ -174,6 +174,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise corpus.CorpusError(f"case {case_id!r}: missing pseudo or truth labels")
         pseudo = corpus.load_label_volume(pseudo_files[case_id], labels)
         truth = corpus.load_label_volume(truth_files[case_id], labels)
+        require_aligned(pseudo.grid, truth.grid,
+                        context=f"case {case_id!r}: {truth_files[case_id]}: pseudo/truth labels")
         # One organ's mask is read as it is scored.
         attention_masks = (
             read_volume(corpus.attention_organ_path(Path(args.attention), case_id, code))

@@ -69,7 +69,7 @@ class CorpusIndex(NamedTuple):
     members: dict[str, CaseChannels]
 
 
-def _check_case_id(case_id: object, source: Path) -> None:
+def _check_case_id(case_id: object, source: str | Path) -> None:
     # Case ids name output files and are joined onto input directories: none may escape.
     if not isinstance(case_id, str) or not case_id or any(p in case_id for p in ("/", "\\", "..")):
         raise CorpusError(f"{source}: case id {case_id!r} is empty or has '/', '\\' or '..'")
@@ -333,10 +333,14 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[o
 def read_ranking_csv(path: str | Path) -> list[dict[str, object]]:
     """Rows of a ranking CSV as dicts with numeric rank and total_mm3 (finite, >= 0)."""
     with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
+        reader = csv.DictReader(f)
+        rows = list(reader)
     if not rows:
         raise CorpusError(f"{path}: empty ranking")
-    for row in rows:
+    for n, row in enumerate(rows, start=1):
+        if None in row or None in row.values():  # too many fields, or too few
+            raise CorpusError(f"{path}: row {n}: expected exactly {reader.fieldnames}")
+        _check_case_id(row["case_id"], f"{path}: row {n}")
         row["rank"] = int(row["rank"])
         row["total_mm3"] = float(row["total_mm3"])
         if not _is_size(row["total_mm3"]):

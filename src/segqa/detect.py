@@ -101,7 +101,6 @@ class AttentionMap:
     def organ_mask(self, code: int) -> VolumeGrid:
         """One organ's mask as a whole volume on the union's grid."""
         box, crop = self.organ_crops[code - 1]
-        # x-fastest, as NIfTI stores voxels: writing it copies, not transposes, the volume.
         mask = np.zeros(self.union_mask.dims, dtype=np.uint8, order="F")
         mask[box] = crop
         return self.union_mask.with_values(mask)
@@ -141,11 +140,11 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
     grid = preds.grid
     dims = grid.dims
 
-    union = np.zeros(dims, dtype=bool)
+    union = np.zeros(dims, dtype=bool, order="F")
     # Voxels where one organ passes, and where a second one does too: overlap
     # is "passed twice", for any number of organs and with no count array.
-    passed = np.zeros(dims, dtype=bool)
-    overlap = np.zeros(dims, dtype=bool)
+    passed = np.zeros(dims, dtype=bool, order="F")
+    overlap = np.zeros(dims, dtype=bool, order="F")
     # Per organ: its support box and, inside it, the criterion part and passes.
     organs: list[tuple[Box, np.ndarray, np.ndarray]] = []
 

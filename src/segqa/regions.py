@@ -1,11 +1,12 @@
 """Connected components, benchmark error regions and component-wise metrics.
 
-Attention maps are scored against the symmetric difference between pseudo
-labels and ground truth: each error component should be touched by the
-attention map (sensitivity) and each attention component should touch a real
-error (precision). Metrics with a zero denominator are reported as undefined
-(None / "undefined"), never coerced to 0 or 1, so averages cover only organs
-where the metric means something.
+Attention maps are scored against each organ's error region, the symmetric
+difference of its pseudo and truth masks, which :func:`organ_error` builds
+with the organ's Dice from one pair of boolean masks: each error component
+should be touched by the attention map (sensitivity) and each attention
+component should touch a real error (precision). Metrics with a zero
+denominator are reported as undefined (None / "undefined"), never coerced to
+0 or 1, so averages cover only organs where the metric means something.
 """
 
 from __future__ import annotations
@@ -58,7 +59,11 @@ def connected_components(mask: VolumeGrid, connectivity: int = 26) -> tuple[np.n
     """
     if connectivity not in _STRUCTURES:
         raise ValueError(f"connectivity must be one of {tuple(_STRUCTURES)}, got {connectivity}")
-    return ndimage.label(_require_binary(mask, "connected_components"), _STRUCTURES[connectivity])
+    # The transpose has the same components (each structure is symmetric in the
+    # axes) and, for an x-fastest mask, is C order, which ndimage.label scans fastest.
+    values = _require_binary(mask, "connected_components").T
+    labels, count = ndimage.label(values, _STRUCTURES[connectivity])
+    return labels.T, count
 
 
 def remove_small_components(
@@ -68,16 +73,9 @@ def remove_small_components(
     if min_voxels <= 1:
         return mask
     labels, _ = connected_components(mask, connectivity)
-    keep = np.bincount(labels.ravel()) >= min_voxels
+    keep = np.bincount(labels.ravel("K")) >= min_voxels
     keep[0] = False
     return mask.with_values(keep[labels].astype(np.uint8))
-
-
-def error_region(pseudo: VolumeGrid, truth: VolumeGrid) -> VolumeGrid:
-    """Voxelwise symmetric difference of two masks (false positives + negatives)."""
-    require_aligned(pseudo, truth, context="pseudo/truth masks")
-    diff = (pseudo.values != 0) ^ (truth.values != 0)
-    return pseudo.with_values(diff.astype(np.uint8))
 
 
 def componentwise_metrics(
@@ -142,27 +140,25 @@ def dsc_matrix(labelings: Sequence[LabelVolume], organ_code: int) -> np.ndarray:
     return out
 
 
-def _organ_dscs(a: LabelVolume, b: LabelVolume) -> list[float]:
-    """Dice of every organ code of a's map, in code order, as :func:`dsc` scores its masks.
+def organ_error(pseudo: LabelVolume, truth: LabelVolume, code: int) -> tuple[VolumeGrid, float]:
+    """One organ's error region (pseudo XOR truth mask, uint8) and its Dice.
 
-    The counts come from one joint histogram of the label pairs: row c counts
-    ``a == c``, column c counts ``b == c`` and the diagonal counts both. The
-    histogram holds (C + 1)² counts for C organs.
+    The Dice is :func:`dsc`'s bit for bit: 2|A&B| = |A| + |B| - |A^B| in integers.
     """
-    require_aligned(a.grid, b.grid, context="masks")
-    n = len(a.labels) + 1
-    pairs = a.grid.values.astype(np.intp) * n + b.grid.values
-    joint = np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
-    both = joint.diagonal().tolist()
-    sizes = (joint.sum(axis=1) + joint.sum(axis=0)).tolist()
-    return [2.0 * both[c] / sizes[c] if sizes[c] else 1.0 for c in a.labels.codes]
+    require_aligned(pseudo.grid, truth.grid, context="pseudo/truth labels")
+    a = pseudo.grid.values == code
+    b = truth.grid.values == code
+    sizes = int(np.count_nonzero(a)) + int(np.count_nonzero(b))
+    a ^= b
+    both = sizes - int(np.count_nonzero(a))
+    return pseudo.grid.with_values(a.view(np.uint8)), both / sizes if sizes else 1.0
 
 
 def mean_label_dsc(a: LabelVolume, b: LabelVolume) -> float:
     """Mean per-organ Dice between two label volumes over the full label map."""
     if a.labels.codes != b.labels.codes:
         raise ValueError("label volumes use different organ maps")
-    return float(np.mean(_organ_dscs(a, b)))
+    return float(np.mean([organ_error(a, b, code)[1] for code in a.labels.codes]))
 
 
 @dataclass(frozen=True)
@@ -224,14 +220,14 @@ def evaluate_case(
         raise AlignmentError("pseudo and truth label volumes use different organ maps")
     masks = iter(attention_masks)
     organs: dict[str, OrganMetrics] = {}
-    for (code, name), organ_dsc in zip(pseudo.labels.entries, _organ_dscs(pseudo, truth)):
+    for code, name in pseudo.labels.entries:
         try:  # a mask that fails to load, or a missing mask, names the case
             attention = next(masks)
         except StopIteration:
             raise ValueError(f"case {case_id!r}: attention masks: fewer than organs") from None
         except ValueError as exc:
             raise ValueError(f"case {case_id!r}: attention masks: {exc}") from exc
-        benchmark = error_region(pseudo.organ_mask(code), truth.organ_mask(code))
+        benchmark, organ_dsc = organ_error(pseudo, truth, code)
         sensitivity, precision, counts = componentwise_metrics(attention, benchmark, connectivity)
         del attention, benchmark  # freed before the next read (a zip's tuple would keep the mask)
         organs[name] = OrganMetrics(

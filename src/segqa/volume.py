@@ -77,8 +77,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class VolumeGrid:
     """A dense 3D scalar field with voxel spacing and an index-to-mm affine.
 
-    ``values`` is indexed ``[x, y, z]``; the flattened x-fastest order matches
-    the on-disk order of the volume file format, so I/O never permutes data.
+    ``values`` is indexed ``[x, y, z]``. The reader decodes it x-fastest (Fortran
+    order), the on-disk order of the file format, and every volume the program
+    builds is allocated in that order too, so I/O never permutes data and no
+    voxel operation mixes memory orders.
     Spacing is quantized to float32 (the precision the file format stores).
     The affine must be finite; ``with_values`` shares it with the new grid.
     Element kind is one of uint8, int16, float32.
@@ -359,7 +361,7 @@ def _crop_organ(
     # whole-volume box (channels with no exact zero, say) keeps the decoded
     # arrays themselves: a copy would only hold each channel twice.
     whole = all(s.stop - s.start == n for s, n in zip(box, grid.dims))
-    crops = [ch.values[box] if whole else ch.values[box].copy() for ch in channels]
+    crops = [ch.values[box] if whole else ch.values[box].copy(order="F") for ch in channels]
     try:
         return SoftPrediction(model_ids, code, box, crops)
     except ProbabilityRangeError as exc:
@@ -408,8 +410,8 @@ def labels_from_soft(
     # ">" keeps the lowest code on ties, and no channel stack is built. The
     # threshold is > 0, so a voxel where no channel exceeds 0 stays background
     # whichever code it holds.
-    peak = np.zeros(grid.dims, dtype=np.result_type(*(values for _, values in channels)))
-    best = np.zeros(grid.dims, dtype=np.uint8)
+    peak = np.zeros(grid.dims, np.result_type(*(values for _, values in channels)), order="F")
+    best = np.zeros(grid.dims, dtype=np.uint8, order="F")
     for code, (box, values) in enumerate(channels, start=1):
         top = peak[box]
         if top.shape != values.shape:

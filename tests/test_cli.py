@@ -819,6 +819,41 @@ class TestSimulateCli:
         assert not report.exists()
 
 
+class TestMisalignedTruth:
+    """A truth volume on another grid than the case's predictions names the case."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        rng = np.random.default_rng(9)
+        for model in ("m0", "m1"):
+            write_channel(tmp_path / model / "c1_organ1.nii.gz", rng.random((12, 12, 8)))
+        truth = tmp_path / "truth" / "c1.nii.gz"
+        write_labels(truth, np.zeros((12, 12, 9)))
+        return tmp_path, truth
+
+    def test_evaluate(self, corpus, capsys):
+        root, truth = corpus
+        preds = [str(root / "m0"), str(root / "m1")]
+        assert main(["detect", "--preds", *preds, "--out", str(root / "att")]) == 0
+        assert main(["ensemble", "--preds", *preds, "--out", str(root / "pseudo")]) == 0
+        capsys.readouterr()
+        rc = main(["evaluate", "--attention", str(root / "att"), "--pseudo", str(root / "pseudo"),
+                   "--truth", str(root / "truth"), "--out", str(root / "metrics.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"case 'c1': {truth}: pseudo/truth labels are not grid-aligned" in err
+        assert not (root / "metrics.json").exists()
+
+    def test_simulate(self, corpus, capsys):
+        root, truth = corpus
+        rc = main(["simulate", "--preds", str(root / "m0"), str(root / "m1"),
+                   "--truth", str(root / "truth"), "--out", str(root / "report.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "case 'c1': predictions/truth are not grid-aligned" in err
+        assert not (root / "report.json").exists()
+
+
 class TestFpscanCli:
     def test_counts(self, tmp_path, capsys):
         dims = (5, 5, 5)
@@ -979,6 +1014,18 @@ class TestNonFiniteThresholds:
         captured = capsys.readouterr()
         assert "finite" in captured.err
         assert "estimated days" not in captured.out
+
+
+class TestMalformedRankingRows:
+    @pytest.mark.parametrize("row", ["2", "2,b", "2,b,5.0,extra", "2,../x,5.0"])
+    def test_select_names_file_and_row(self, tmp_path, capsys, row):
+        ranking = tmp_path / "ranking.csv"
+        ranking.write_text(f"rank,case_id,total_mm3\n1,a,5.0\n{row}\n")
+        out = tmp_path / "selected.csv"
+        assert main(["select", "--ranking", str(ranking), "--threshold-mm3", "0",
+                     "--out", str(out)]) == 1
+        assert f"{ranking}: row 2: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _no_constant(name):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from segqa.corpus import (
     find_label_volumes,
     load_label_volume,
     load_prediction_set,
+    read_ranking_csv,
     read_sizes,
     write_csv,
 )
@@ -370,3 +372,12 @@ class TestWritesByRename:
                 with pytest.raises(CorpusError, match="found"):
                     discover(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+class TestReadRankingCsv:
+    @pytest.mark.parametrize("row", ["2", "2,b,5.0,extra", "2,../x,5.0"])
+    def test_malformed_row_is_a_corpus_error(self, tmp_path, row):
+        path = tmp_path / "ranking.csv"
+        path.write_text(f"rank,case_id,total_mm3\n{row}\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}: row 1: ")):
+            read_ranking_csv(path)

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -25,12 +26,12 @@ from segqa.regions import (
     connected_components,
     dsc,
     dsc_matrix,
-    error_region,
     evaluate_case,
     false_positive_scan,
     mean_label_dsc,
     metrics_csv_rows,
     metrics_json_dict,
+    organ_error,
     remove_small_components,
 )
 from segqa.volume import AlignmentError, LabelVolume, OrganLabelMap
@@ -174,32 +175,83 @@ class TestRemoveSmall:
 
 
 class TestErrorRegion:
+    """The error region half of organ_error: pseudo XOR truth for one organ code."""
+
     def test_identical_masks(self, rng):
-        v = (rng.random((3, 3, 3)) < 0.5).astype(np.uint8)
-        assert not error_region(mask_grid(v), mask_grid(v)).values.any()
+        lv = label_volume(rng.integers(0, 3, (3, 3, 3)))
+        for code in (1, 2):
+            region, organ_dsc = organ_error(lv, lv, code)
+            assert not region.values.any() and organ_dsc == 1.0
 
     def test_pure_false_negative(self):
         truth = np.zeros((2, 2, 2))
         truth[0] = 1
-        out = error_region(mask_grid(np.zeros((2, 2, 2))), mask_grid(truth))
-        assert np.array_equal(out.values, truth.astype(np.uint8))
+        region, _ = organ_error(label_volume(np.zeros((2, 2, 2))), label_volume(truth), 1)
+        assert region.values.dtype == np.uint8
+        assert np.array_equal(region.values, truth.astype(np.uint8))
 
     def test_symmetric_difference(self):
-        pseudo = np.zeros((3, 1, 1))
-        pseudo[0] = pseudo[1] = 1  # {A, B}
-        truth = np.zeros((3, 1, 1))
-        truth[1] = truth[2] = 1  # {B, C}
-        out = error_region(mask_grid(pseudo), mask_grid(truth))
-        assert out.values.ravel().tolist() == [1, 0, 1]
+        pseudo = label_volume([[[2]], [[2]], [[1]]])  # organ 2 at {A, B}
+        truth = label_volume([[[0]], [[2]], [[2]]])  # organ 2 at {B, C}
+        region, _ = organ_error(pseudo, truth, 2)
+        assert region.values.ravel().tolist() == [1, 0, 1]
 
     def test_symmetric_in_arguments(self, rng):
-        a = mask_grid((rng.random((3, 3, 3)) < 0.5).astype(np.uint8))
-        b = mask_grid((rng.random((3, 3, 3)) < 0.5).astype(np.uint8))
-        assert np.array_equal(error_region(a, b).values, error_region(b, a).values)
+        a = label_volume(rng.integers(0, 3, (3, 3, 3)))
+        b = label_volume(rng.integers(0, 3, (3, 3, 3)))
+        for code in (1, 2):
+            (ab, dsc_ab), (ba, dsc_ba) = organ_error(a, b, code), organ_error(b, a, code)
+            assert np.array_equal(ab.values, ba.values) and dsc_ab == dsc_ba
 
     def test_alignment_checked(self):
         with pytest.raises(AlignmentError):
-            error_region(mask_grid(np.zeros((2, 2, 2))), mask_grid(np.zeros((3, 3, 3))))
+            organ_error(label_volume(np.zeros((2, 2, 2))), label_volume(np.zeros((3, 3, 3))), 1)
+
+
+ORDERS = ("C", "F")
+
+
+class TestOrganError:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dims=st.tuples(*(st.integers(1, 6),) * 3),
+        seed=st.integers(0, 2**32 - 1),
+        orders=st.tuples(st.sampled_from(ORDERS), st.sampled_from(ORDERS)),
+        truth_dtype=st.sampled_from((np.uint8, np.int16)),
+    )
+    def test_dice_matches_the_oracle_and_dsc_bit_for_bit(self, dims, seed, orders, truth_dtype):
+        organs = 4
+        rng = np.random.default_rng(seed)
+        # Few codes per volume leave some organs empty on one side or both.
+        present = rng.choice(np.arange(organs + 1), size=int(rng.integers(1, 4)))
+        a = np.asarray(rng.choice(present, size=dims), np.uint8, order=orders[0])
+        b = np.asarray(rng.choice(present, size=dims), truth_dtype, order=orders[1])
+        labels = OrganLabelMap.generic(organs)
+        pseudo, truth = LabelVolume(make_grid(a), labels), LabelVolume(make_grid(b), labels)
+        for code in labels.codes:
+            region, got = organ_error(pseudo, truth, code)
+            expected = dsc(pseudo.organ_mask(code), truth.organ_mask(code))
+            oracle = per_organ_mean_dsc(a, b, [code])
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            assert np.float64(got).tobytes() == np.float64(oracle).tobytes()
+            assert np.array_equal(region.values, (a == code) ^ (b == code))
+
+    def test_mean_label_dsc_holds_few_bytes_per_voxel(self):
+        """Two boolean masks at a time: no per-voxel histogram, also on mixed orders."""
+        dims = (64, 64, 32)
+        rng = np.random.default_rng(3)
+        labels = OrganLabelMap.generic(9)
+        a = LabelVolume(make_grid(rng.integers(0, 10, dims).astype(np.uint8)), labels)
+        b = LabelVolume(make_grid(np.asfortranarray(rng.integers(0, 10, dims), np.uint8)),
+                        labels)
+        mean_label_dsc(a, b)  # warm-up outside the measurement
+        tracemalloc.start()
+        try:
+            mean_label_dsc(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * int(np.prod(dims))
 
 
 class TestComponentwiseMetrics:

@@ -51,3 +51,11 @@ def test_probe_case_equals_the_benchmark_generators(tmp_path):
             path = tmp_path / f"model{k}" / f"{probe.CASE}_organ{o + 1}.nii.gz"
             values = read_volume(path).values
             assert values.dtype == np.float32 and np.array_equal(values, expected), path
+
+
+def test_probe_runs_every_command():
+    probe = run([SCRIPTS / "probe_memory.py", "--dims", "24", "24", "12"])
+    assert probe.returncode == 0, probe.stderr
+    results = [json.loads(line) for line in probe.stdout.splitlines()]
+    assert [r["command"] for r in results] == ["detect", "ensemble", "evaluate", "simulate"]
+    assert all(r["exit"] == 0 and r["dims"] == [24, 24, 12] for r in results), results
