@@ -44,7 +44,6 @@ from .volume import (
     SoftPrediction,
     VolumeGrid,
     labels_from_soft,
-    physical_volume,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +75,6 @@ __all__ = [
     "labels_from_soft",
     "mark_case",
     "organ_error",
-    "physical_volume",
     "rank_cases",
     "read_volume",
     "run_loop",

@@ -114,7 +114,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     header = list(RANKING_BASE_HEADER) + [f"{name}_mm3" for name in organ_names]
     rows = [
         [rank, entry.case_id, repr(entry.total_mm3)]
-        + [repr(float(entry.per_organ_mm3.get(name, 0.0))) for name in organ_names]
+        + [repr(float(entry.per_organ_mm3[name])) for name in organ_names]
         for rank, entry in enumerate(ranked, start=1)
     ]
     corpus.write_csv(args.out, header, rows)
@@ -135,7 +135,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     if args.out:
         corpus.write_csv(
             args.out,
-            ("rank", "case_id", "total_mm3"),
+            RANKING_BASE_HEADER,
             [[r["rank"], r["case_id"], repr(r["total_mm3"])] for r in selected],
         )
     print(f"select: {len(selected)} of {len(rows)} cases above {args.threshold_mm3} mm3")
@@ -157,6 +157,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     labels = OrganLabelMap.for_channel_count(organ_count)
     pseudo_files = corpus.find_label_volumes(args.pseudo)
     truth_files = corpus.find_label_volumes(args.truth)
+    attention_dir = Path(args.attention)
 
     # read_sizes refuses sidecars whose config differs, so the first one speaks for all.
     provenance = {
@@ -176,13 +177,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         truth = corpus.load_label_volume(truth_files[case_id], labels)
         require_aligned(pseudo.grid, truth.grid,
                         context=f"case {case_id!r}: {truth_files[case_id]}: pseudo/truth labels")
-        # One organ's mask is read as it is scored.
-        attention_masks = (
-            read_volume(corpus.attention_organ_path(Path(args.attention), case_id, code))
-            for code in labels.codes
-        )
         cases[case_id] = regions.evaluate_case(
-            case_id, attention_masks, pseudo, truth, connectivity=args.connectivity
+            case_id,
+            lambda code: read_volume(corpus.attention_organ_path(attention_dir, case_id, code)),
+            pseudo,
+            truth,
+            connectivity=args.connectivity,
         )
 
     corpus.write_json(args.out, regions.metrics_json_dict(cases, provenance))

@@ -341,8 +341,11 @@ def read_ranking_csv(path: str | Path) -> list[dict[str, object]]:
         if None in row or None in row.values():  # too many fields, or too few
             raise CorpusError(f"{path}: row {n}: expected exactly {reader.fieldnames}")
         _check_case_id(row["case_id"], f"{path}: row {n}")
-        row["rank"] = int(row["rank"])
-        row["total_mm3"] = float(row["total_mm3"])
+        try:
+            row["rank"] = int(row["rank"])
+            row["total_mm3"] = float(row["total_mm3"])
+        except ValueError as exc:
+            raise CorpusError(f"{path}: row {n}: {exc}") from exc
         if not _is_size(row["total_mm3"]):
             raise CorpusError(f"{path}: case {row['case_id']!r}: field 'total_mm3' must be "
                               f"a finite number >= 0, got {row['total_mm3']!r}")

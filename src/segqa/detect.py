@@ -41,7 +41,6 @@ from .volume import (
     Box,
     PredictionSet,
     VolumeGrid,
-    physical_volume,
     stable_mean_std,
 )
 
@@ -172,5 +171,5 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
         union_mask=union_grid,
         organ_crops=crops,
         per_organ_mm3=tuple(float(np.count_nonzero(c)) * grid.voxel_volume_mm3 for _, c in crops),
-        total_mm3=physical_volume(union_grid),
+        total_mm3=float(np.count_nonzero(union_grid.values)) * grid.voxel_volume_mm3,
     )

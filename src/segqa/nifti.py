@@ -405,12 +405,16 @@ def write_volume(grid: VolumeGrid, path: str | Path) -> None:
     ``open_replacing``).
     """
     path = Path(path)
-    payload = np.asarray(grid.values, dtype=_DTYPES[_CODES[grid.values.dtype]])
-    blob = header_bytes(grid) + b"\x00\x00\x00\x00" + payload.tobytes(order="F")
+    head = header_bytes(grid) + b"\x00\x00\x00\x00"
+    # The transpose of an x-fastest array is C order, the file's voxel order,
+    # so its own buffer is written; a grid in any other order is copied once.
+    voxels = np.ascontiguousarray(grid.values.T, dtype=_DTYPES[_CODES[grid.values.dtype]])
     with open_replacing(path) as f:
         if path.suffix == ".gz":
             # empty filename + zero mtime keep the gzip header byte-stable
             with gzip.GzipFile(filename="", fileobj=f, mode="wb", mtime=0) as gz:
-                gz.write(blob)
+                gz.write(head)
+                gz.write(voxels)
         else:
-            f.write(blob)
+            f.write(head)
+            f.write(voxels)

@@ -12,7 +12,7 @@ denominator are reported as undefined (None / "undefined"), never coerced to
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -107,6 +107,17 @@ def componentwise_metrics(
     return sensitivity, precision, ConfusionCounts(tp=tp, fp=n_att - useful, fn=n_err - tp)
 
 
+def _xor_dice(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """XOR boolean mask b into boolean mask a; return a, now A^B, and the Dice of A and B.
+
+    2|A&B| = |A| + |B| - |A^B| in integers, so this is 2|A&B| / (|A|+|B|) bit
+    for bit; two empty masks score 1.0.
+    """
+    sizes = int(np.count_nonzero(a)) + int(np.count_nonzero(b))
+    a ^= b
+    return a, (sizes - int(np.count_nonzero(a))) / sizes if sizes else 1.0
+
+
 def dsc(a: VolumeGrid, b: VolumeGrid) -> float:
     """Dice similarity 2|A&B| / (|A|+|B|); two empty masks score 1.0.
 
@@ -114,51 +125,37 @@ def dsc(a: VolumeGrid, b: VolumeGrid) -> float:
     echoed into report provenance because conventions differ between tools.
     """
     require_aligned(a, b, context="masks")
-    va = a.values != 0
-    vb = b.values != 0
-    na = int(np.count_nonzero(va))
-    nb = int(np.count_nonzero(vb))
-    if na + nb == 0:
-        return 1.0
-    inter = int(np.count_nonzero(va & vb))
-    return 2.0 * inter / (na + nb)
+    return _xor_dice(a.values != 0, b.values != 0)[1]
 
 
 def dsc_matrix(labelings: Sequence[LabelVolume], organ_code: int) -> np.ndarray:
     """Pairwise Dice matrix of one organ across M labelings (symmetric, unit diagonal)."""
     if len(labelings) < 2:
         raise ValueError("dsc_matrix: need at least two labelings")
-    masks = [lv.organ_mask(organ_code) for lv in labelings]
-    require_aligned(*masks, context="labelings")
+    require_aligned(*(lv.grid for lv in labelings), context="labelings")
+    masks = [lv.grid.values == organ_code for lv in labelings]
     m = len(masks)
     out = np.ones((m, m), dtype=np.float64)
     for i in range(m):
         for j in range(i + 1, m):
-            value = dsc(masks[i], masks[j])
-            out[i, j] = value
-            out[j, i] = value
+            out[i, j] = out[j, i] = _xor_dice(masks[i].copy(), masks[j])[1]
     return out
 
 
 def organ_error(pseudo: LabelVolume, truth: LabelVolume, code: int) -> tuple[VolumeGrid, float]:
-    """One organ's error region (pseudo XOR truth mask, uint8) and its Dice.
-
-    The Dice is :func:`dsc`'s bit for bit: 2|A&B| = |A| + |B| - |A^B| in integers.
-    """
+    """One organ's error region (pseudo XOR truth mask, uint8) and its Dice."""
     require_aligned(pseudo.grid, truth.grid, context="pseudo/truth labels")
-    a = pseudo.grid.values == code
-    b = truth.grid.values == code
-    sizes = int(np.count_nonzero(a)) + int(np.count_nonzero(b))
-    a ^= b
-    both = sizes - int(np.count_nonzero(a))
-    return pseudo.grid.with_values(a.view(np.uint8)), both / sizes if sizes else 1.0
+    region, organ_dsc = _xor_dice(pseudo.grid.values == code, truth.grid.values == code)
+    return pseudo.grid.with_values(region.view(np.uint8)), organ_dsc
 
 
 def mean_label_dsc(a: LabelVolume, b: LabelVolume) -> float:
     """Mean per-organ Dice between two label volumes over the full label map."""
     if a.labels.codes != b.labels.codes:
         raise ValueError("label volumes use different organ maps")
-    return float(np.mean([organ_error(a, b, code)[1] for code in a.labels.codes]))
+    require_aligned(a.grid, b.grid, context="label volumes")
+    va, vb = a.grid.values, b.grid.values
+    return float(np.mean([_xor_dice(va == code, vb == code)[1] for code in a.labels.codes]))
 
 
 @dataclass(frozen=True)
@@ -205,36 +202,32 @@ def false_positive_scan(
 
 def evaluate_case(
     case_id: str,
-    attention_masks: Iterable[VolumeGrid],
+    read_mask: Callable[[int], VolumeGrid],
     pseudo: LabelVolume,
     truth: LabelVolume,
     connectivity: int = 26,
 ) -> dict[str, OrganMetrics]:
     """Score one case's per-organ attention masks against the error benchmark.
 
-    attention_masks yields the mask of each organ code of the pseudo label
-    map in code order; each is taken only when its organ is scored. The
+    read_mask(code) returns the attention mask of one organ code of the pseudo
+    label map; it is called as that organ is scored, in code order. The
     metrics are keyed by organ name, in code order.
     """
     if pseudo.labels.codes != truth.labels.codes:
         raise AlignmentError("pseudo and truth label volumes use different organ maps")
-    masks = iter(attention_masks)
     organs: dict[str, OrganMetrics] = {}
     for code, name in pseudo.labels.entries:
-        try:  # a mask that fails to load, or a missing mask, names the case
-            attention = next(masks)
-        except StopIteration:
-            raise ValueError(f"case {case_id!r}: attention masks: fewer than organs") from None
+        try:  # a mask that fails to load or lies on another grid names the case and organ
+            attention = read_mask(code)
+            require_aligned(pseudo.grid, attention, context="labels/attention mask")
         except ValueError as exc:
-            raise ValueError(f"case {case_id!r}: attention masks: {exc}") from exc
+            raise ValueError(f"case {case_id!r}, organ {name!r}: attention mask: {exc}") from exc
         benchmark, organ_dsc = organ_error(pseudo, truth, code)
         sensitivity, precision, counts = componentwise_metrics(attention, benchmark, connectivity)
-        del attention, benchmark  # freed before the next read (a zip's tuple would keep the mask)
+        del attention, benchmark  # freed before the next read
         organs[name] = OrganMetrics(
             sensitivity=sensitivity, precision=precision, dsc=organ_dsc, **vars(counts)
         )
-    if next(masks, None) is not None:
-        raise ValueError(f"case {case_id!r}: attention masks: more than organs")
     return organs
 
 

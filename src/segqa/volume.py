@@ -226,9 +226,6 @@ class LabelVolume:
                 f"found range {int(v.min())}..{int(v.max())}"
             )
 
-    def organ_mask(self, code: int) -> VolumeGrid:
-        return self.grid.with_values((self.grid.values == code).astype(np.uint8))
-
 
 Box = tuple[slice, slice, slice]
 EMPTY_BOX: Box = (slice(0, 0),) * 3  # holds no voxel; slicing with it still works
@@ -425,12 +422,6 @@ def labels_from_soft(
     if labels is None:
         labels = OrganLabelMap.for_channel_count(len(channels))
     return LabelVolume(grid.with_values(codes), labels)
-
-
-def physical_volume(mask: VolumeGrid) -> float:
-    """Physical volume in mm^3 of the set voxels of a binary mask."""
-    v = _require_binary(mask, "physical_volume")
-    return float(np.count_nonzero(v)) * mask.voxel_volume_mm3
 
 
 def support_box(arrays: Sequence[np.ndarray]) -> tuple[slice, ...]:

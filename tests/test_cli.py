@@ -844,6 +844,21 @@ class TestMisalignedTruth:
         assert f"case 'c1': {truth}: pseudo/truth labels are not grid-aligned" in err
         assert not (root / "metrics.json").exists()
 
+    def test_evaluate_misaligned_attention_mask(self, corpus, capsys):
+        # 12x12x8 attention masks against 12x12x9 pseudo and truth labels.
+        root, truth = corpus
+        assert main(["detect", "--preds", str(root / "m0"), str(root / "m1"),
+                     "--out", str(root / "att")]) == 0
+        write_labels(root / "pseudo" / "c1.nii.gz", np.zeros((12, 12, 9)))
+        capsys.readouterr()
+        rc = main(["evaluate", "--attention", str(root / "att"), "--pseudo", str(root / "pseudo"),
+                   "--truth", str(root / "truth"), "--out", str(root / "metrics.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "case 'c1', organ 'organ1': attention mask: " in err
+        assert "not grid-aligned: (12, 12, 9)" in err
+        assert not (root / "metrics.json").exists()
+
     def test_simulate(self, corpus, capsys):
         root, truth = corpus
         rc = main(["simulate", "--preds", str(root / "m0"), str(root / "m1"),
@@ -1017,7 +1032,9 @@ class TestNonFiniteThresholds:
 
 
 class TestMalformedRankingRows:
-    @pytest.mark.parametrize("row", ["2", "2,b", "2,b,5.0,extra", "2,../x,5.0"])
+    @pytest.mark.parametrize(
+        "row", ["2", "2,b", "2,b,5.0,extra", "2,../x,5.0", "2,b,abc", "x,b,5.0", "2.5,b,5.0"]
+    )
     def test_select_names_file_and_row(self, tmp_path, capsys, row):
         ranking = tmp_path / "ranking.csv"
         ranking.write_text(f"rank,case_id,total_mm3\n1,a,5.0\n{row}\n")

@@ -189,6 +189,14 @@ class TestBuildAttention:
         assert np.array_equal(amap.union_mask.values != 0, blob)
         assert amap.total_mm3 == float(blob.sum())
 
+    def test_sizes_follow_anisotropic_spacing(self):
+        a = np.zeros((6, 6, 6), dtype=np.float32)
+        a[1:5, 1:5, 2] = 1.0  # 16 voxels of 0.5 mm^3
+        ps = prediction_set("case", [[a], [np.zeros_like(a)]], spacing=(0.5, 0.5, 2.0))
+        amap = build_attention(ps)
+        assert amap.total_mm3 == 8.0
+        assert amap.per_organ_mm3 == (8.0,)
+
     def test_speckle_filter_drops_single_voxel(self):
         a = np.zeros((5, 5, 5), dtype=np.float32)
         a[2, 2, 2] = 1.0

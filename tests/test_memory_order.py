@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from grids import WHOLE
+from grids import WHOLE, mask_grid
 
 from segqa.campaign import simulate_revision
 from segqa.detect import DetectionConfig, build_attention
@@ -52,7 +52,7 @@ def test_attention_union_and_organ_masks(preds, min_component):
 def test_consensus_labels_and_their_organ_masks(preds):
     labels = ensemble_label(preds)
     assert x_fastest(labels.grid.values)
-    assert all(x_fastest(labels.organ_mask(code).values) for code in (1, 2))
+    assert all(x_fastest(mask_grid(labels.grid.values == code).values) for code in (1, 2))
 
 
 def test_labels_from_soft_of_c_order_channels(rng):

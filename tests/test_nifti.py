@@ -379,6 +379,34 @@ class TestLibdeflate:
         assert peak <= values.nbytes + file_bytes + 100_000, (peak, values.nbytes, file_bytes)
 
 
+class TestWritePeak:
+    @pytest.mark.parametrize("name", ["mask.nii", "mask.nii.gz"])
+    def test_write_holds_no_copy_of_the_payload(self, tmp_path, name):
+        # The voxels are written from the array's own buffer, not from a
+        # transposed copy joined to the header.
+        rng = np.random.default_rng(4)
+        values = np.asfortranarray(rng.random((128, 128, 64)) < 0.3, np.uint8)
+        grid = make_grid(values)
+        path = tmp_path / name
+        write_volume(grid, tmp_path / ("warm-up" + path.suffix))
+        tracemalloc.start()
+        try:
+            write_volume(grid, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read_volume(path).values, values)
+        assert peak < values.nbytes, (peak, values.nbytes)
+
+    def test_c_order_grid_writes_the_same_bytes(self, tmp_path, rng):
+        values = rng.integers(0, 4, (5, 4, 3)).astype(np.uint8)
+        for suffix in (".nii", ".nii.gz"):
+            c, f = tmp_path / f"c{suffix}", tmp_path / f"f{suffix}"
+            write_volume(make_grid(np.ascontiguousarray(values)), c)
+            write_volume(make_grid(np.asfortranarray(values)), f)
+            assert c.read_bytes() == f.read_bytes()
+
+
 class TestWriteByRename:
     def test_failed_write_keeps_previous_volume(self, tmp_path, monkeypatch):
         path = tmp_path / "case_organ1.nii.gz"

@@ -18,6 +18,7 @@ from oracles import (
     per_organ_mean_dsc,
 )
 from segqa.corpus import write_csv, write_json
+from segqa.nifti import NiftiFormatError
 from segqa.regions import (
     METRICS_CSV_HEADER,
     ConfusionCounts,
@@ -230,7 +231,7 @@ class TestOrganError:
         pseudo, truth = LabelVolume(make_grid(a), labels), LabelVolume(make_grid(b), labels)
         for code in labels.codes:
             region, got = organ_error(pseudo, truth, code)
-            expected = dsc(pseudo.organ_mask(code), truth.organ_mask(code))
+            expected = dsc(mask_grid(a == code), mask_grid(b == code))
             oracle = per_organ_mean_dsc(a, b, [code])
             assert np.float64(got).tobytes() == np.float64(expected).tobytes()
             assert np.float64(got).tobytes() == np.float64(oracle).tobytes()
@@ -405,7 +406,7 @@ class TestDscMatrix:
         m = dsc_matrix(volumes, organ_code=2)
         for i in range(3):
             for j in range(3):
-                expected = dsc(volumes[i].organ_mask(2), volumes[j].organ_mask(2))
+                expected = dsc(*(mask_grid(volumes[k].grid.values == 2) for k in (i, j)))
                 assert m[i, j] == expected
         assert np.array_equal(m, m.T)
         assert np.array_equal(np.diag(m), np.ones(3))
@@ -465,19 +466,31 @@ class TestEvaluateCase:
             a, b = (rng.choice(present, size=dims).astype(np.uint8) for _ in range(2))
             pseudo, truth = (LabelVolume(make_grid(v), labels) for v in (a, b))
             attention = [mask_grid(rng.random(dims) < 0.3) for _ in range(organs)]
-            report = evaluate_case("c", attention, pseudo, truth)
+            report = evaluate_case("c", lambda code: attention[code - 1], pseudo, truth)
             for code, name in labels.entries:
-                expected = dsc(pseudo.organ_mask(code), truth.organ_mask(code))
+                expected = dsc(mask_grid(a == code), mask_grid(b == code))
                 got = report[name].dsc
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_mask_count_mismatch_names_the_case(self, count):
+    def test_misaligned_mask_names_the_case_and_organ(self):
+        labels = OrganLabelMap.generic(2)
+        pseudo = truth = LabelVolume(make_grid(np.zeros((12, 12, 9), np.uint8)), labels)
+
+        def read_mask(code):
+            return mask_grid(np.zeros((12, 12, 9 if code == 1 else 8), bool))
+
+        with pytest.raises(ValueError, match="case 'c7', organ 'organ2': attention mask: "):
+            evaluate_case("c7", read_mask, pseudo, truth)
+
+    def test_failed_read_names_the_case_and_organ(self):
         labels = OrganLabelMap.generic(2)
         pseudo = truth = LabelVolume(make_grid(np.zeros((2, 2, 2), np.uint8)), labels)
-        masks = (mask_grid(np.zeros((2, 2, 2), bool)) for _ in range(count))
-        with pytest.raises(ValueError, match="case 'c7': attention masks"):
-            evaluate_case("c7", masks, pseudo, truth)
+
+        def read_mask(code):
+            raise NiftiFormatError("truncated")
+
+        with pytest.raises(ValueError, match="case 'c7', organ 'organ1': attention mask: trunc"):
+            evaluate_case("c7", read_mask, pseudo, truth)
 
     def test_previous_mask_released_before_the_next_is_read(self):
         """One organ's attention mask is alive at a time, also while the next is read."""
@@ -489,12 +502,11 @@ class TestEvaluateCase:
             given.append(weakref.ref(mask))
             return mask
 
-        def masks():  # yields each mask without holding it while suspended
-            for _ in labels.codes:
-                assert [ref() for ref in given if ref() is not None] == []
-                yield remembered(mask_grid(np.ones((2, 2, 2), bool)))
+        def read_mask(code):
+            assert [ref() for ref in given if ref() is not None] == []
+            return remembered(mask_grid(np.ones((2, 2, 2), bool)))
 
-        assert list(evaluate_case("c", masks(), pseudo, truth)) == list(labels.names)
+        assert list(evaluate_case("c", read_mask, pseudo, truth)) == list(labels.names)
 
 
 defined_or_not = st.none() | st.floats(0, 1)

@@ -19,7 +19,6 @@ from segqa.volume import (
     VolumeGrid,
     grids_aligned,
     labels_from_soft,
-    physical_volume,
     stable_mean,
     stable_mean_std,
     support_box,
@@ -204,37 +203,6 @@ class TestLabelsFromSoft:
         ]
         lv = labels_from_soft(*whole(channels), 0.5)
         assert int(lv.grid.values.max()) <= organs
-
-
-class TestPhysicalVolume:
-    def test_empty_mask(self):
-        assert physical_volume(mask_grid(np.zeros((3, 3, 3)))) == 0.0
-
-    def test_unit_spacing(self):
-        v = np.zeros((4, 4, 4))
-        v.ravel()[:10] = 1
-        assert physical_volume(mask_grid(v)) == 10.0
-
-    def test_anisotropic_spacing(self):
-        v = np.zeros((4, 1, 1))
-        v[:4] = 1
-        assert physical_volume(mask_grid(v, spacing=(0.5, 0.5, 2.0))) == 2.0
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            physical_volume(make_grid(np.full((1, 1, 1), 3), dtype=np.uint8))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 63))
-    def test_additive_over_disjoint_masks(self, split):
-        rng = np.random.default_rng(split)
-        full = rng.integers(0, 2, (4, 4, 4)).astype(np.uint8)
-        cut = np.zeros(64, dtype=bool)
-        cut[:split] = True
-        cut = cut.reshape(4, 4, 4)
-        a = mask_grid(np.where(cut, full, 0))
-        b = mask_grid(np.where(cut, 0, full))
-        assert physical_volume(a) + physical_volume(b) == physical_volume(mask_grid(full))
 
 
 class TestPredictionTypes:
