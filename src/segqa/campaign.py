@@ -28,6 +28,7 @@ from typing import Callable, Mapping, Sequence, get_origin, get_type_hints
 import numpy as np
 from scipy import ndimage
 
+from .corpus import read_json
 from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
 from .nifti import open_replacing
@@ -304,7 +305,7 @@ def _check_fields(cls: type, records: list) -> None:
 
 
 def _read_state(path: Path) -> CampaignState:
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = read_json(path)
     version = payload.pop("version", None) if isinstance(payload, dict) else None
     if version != STATE_VERSION:
         raise CampaignError(f"{path}: unsupported state version {version!r}")

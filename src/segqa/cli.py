@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import multiprocessing
 import sys
 from dataclasses import asdict
@@ -28,7 +27,7 @@ from . import campaign as camp
 from . import corpus, regions
 from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
-from .nifti import NiftiFormatError, read_volume, write_volume
+from .nifti import read_volume, write_volume
 from .volume import LabelVolume, OrganLabelMap, VolumeGrid, require_aligned
 
 PROG = "segqa"
@@ -260,8 +259,6 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     if args.action == "init":
-        if args.attention is None:
-            raise ValueError("campaign init: --attention is required")
         state_path = Path(args.state)
         if state_path.exists() and not args.force:
             raise ValueError(f"campaign init: {state_path} exists (use --force to overwrite)")
@@ -273,8 +270,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "mark":
-        if not args.case or not args.status:
-            raise ValueError("campaign mark: --case and --status are required")
         camp.update_state(
             args.state, lambda state: camp.mark_case(state, args.case, args.status, tuple(args.tag))
         )
@@ -292,11 +287,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         for rank, entry in enumerate(state.ranking, start=1):
             print(f"{rank}\t{entry.case_id}\t{entry.total_mm3:g}\t{entry.status}")
         return 0
-    if args.action == "stop-check":
-        done = camp.stopping_check(state)
-        print("true" if done else "false")
-        return 0
-    raise ValueError(f"campaign: unknown action {args.action!r}")
+    done = camp.stopping_check(state)  # stop-check: the parser admits no other action
+    print("true" if done else "false")
+    return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -414,14 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--bin-thresh", type=float, default=0.5)
 
-    p = sub.add_parser("campaign", help="track an annotation campaign")
-    p.add_argument("action", choices=("init", "status", "mark", "stop-check"))
-    p.add_argument("--state", required=True, help="campaign state JSON")
-    p.add_argument("--attention", help="attention directory (init)")
-    p.add_argument("--force", action="store_true", help="overwrite existing state (init)")
-    p.add_argument("--case", help="case id (mark)")
-    p.add_argument("--status", choices=("revised", "confirmed"), help="new status (mark)")
-    p.add_argument("--tag", action="append", default=[], help="free-text error tag (mark)")
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", required=True, help="campaign state JSON")
+    actions = sub.add_parser("campaign", help="track an annotation campaign").add_subparsers(
+        dest="action", required=True)
+    p = actions.add_parser("init", parents=[state], help="start a campaign from detect's sizes")
+    p.add_argument("--attention", required=True, help="directory written by detect")
+    p.add_argument("--force", action="store_true", help="overwrite an existing state")
+    p = actions.add_parser("mark", parents=[state], help="record a case's revision")
+    p.add_argument("--case", required=True, help="case id")
+    p.add_argument("--status", required=True, choices=("revised", "confirmed"))
+    p.add_argument("--tag", action="append", default=[], help="free-text error tag")
+    actions.add_parser("status", parents=[state], help="print counts and the ranking")
+    actions.add_parser("stop-check", parents=[state], help="print whether to stop revising")
 
     p = sub.add_parser("simulate", help="run the loop with a simulated annotator")
     p.add_argument("--preds", nargs="+", required=True, help="loop-0 model directories")
@@ -450,7 +448,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, NiftiFormatError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     except KeyError as exc:

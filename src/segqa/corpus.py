@@ -83,7 +83,7 @@ def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, str]]:
 
     manifest = model_dir / MANIFEST_NAME
     if manifest.is_file():
-        listing = json.loads(manifest.read_text(encoding="utf-8"))
+        listing = read_json(manifest)
         cases = listing.get("cases", {}) if isinstance(listing, dict) else None
         if not isinstance(cases, dict) or not all(isinstance(c, dict) for c in cases.values()):
             raise CorpusError(f"{manifest}: expected {MANIFEST_SHAPE}")
@@ -221,7 +221,12 @@ def read_label_grid(path: str | Path) -> VolumeGrid:
 
 
 def load_label_volume(path: str | Path, labels: OrganLabelMap) -> LabelVolume:
-    return LabelVolume(read_label_grid(path), labels)
+    """Read a label volume; a code above the organ count is an error naming the file."""
+    grid = read_label_grid(path)
+    try:
+        return LabelVolume(grid, labels)
+    except ValueError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 # -- attention output naming ---------------------------------------------------
@@ -286,7 +291,7 @@ def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
     sizes = []
     sources: dict[str, Path] = {}
     for path in paths:
-        sizes.append(json.loads(path.read_text(encoding="utf-8")))
+        sizes.append(read_json(path))
         if not isinstance(sizes[-1], dict):
             raise CorpusError(f"{path}: expected a JSON object, got {sizes[-1]!r}")
         case_id = sizes[-1].get("case_id")
@@ -316,6 +321,14 @@ def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
 
 
 # -- small serialization helpers ----------------------------------------------
+
+def read_json(path: Path) -> object:
+    """Parse one JSON file; text that is not UTF-8 JSON is an error naming the file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
+
 
 def write_json(path: str | Path, payload: object) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

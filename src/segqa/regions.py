@@ -217,13 +217,17 @@ def evaluate_case(
         raise AlignmentError("pseudo and truth label volumes use different organ maps")
     organs: dict[str, OrganMetrics] = {}
     for code, name in pseudo.labels.entries:
-        try:  # a mask that fails to load or lies on another grid names the case and organ
+        benchmark, organ_dsc = organ_error(pseudo, truth, code)
+        # A mask that fails to load, lies on another grid or is not binary names
+        # the case and organ; componentwise_metrics checks the values as it labels them.
+        try:
             attention = read_mask(code)
             require_aligned(pseudo.grid, attention, context="labels/attention mask")
+            sensitivity, precision, counts = componentwise_metrics(
+                attention, benchmark, connectivity
+            )
         except ValueError as exc:
             raise ValueError(f"case {case_id!r}, organ {name!r}: attention mask: {exc}") from exc
-        benchmark, organ_dsc = organ_error(pseudo, truth, code)
-        sensitivity, precision, counts = componentwise_metrics(attention, benchmark, connectivity)
         del attention, benchmark  # freed before the next read
         organs[name] = OrganMetrics(
             sensitivity=sensitivity, precision=precision, dsc=organ_dsc, **vars(counts)

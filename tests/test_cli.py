@@ -631,6 +631,24 @@ class TestCampaignCli:
         assert read == []
         assert sorted(p.relative_to(root) for p in root.rglob("*")) == before
 
+    @pytest.mark.parametrize("argv, named", [
+        (["status", "--force"], "unrecognized arguments: --force"),
+        (["stop-check", "--case", "c"], "unrecognized arguments: --case c"),
+        (["init"], "required: --attention"),
+        (["mark", "--case", "a"], "required: --status"),
+    ], ids=["status-force", "stop-check-case", "init-no-attention", "mark-no-status"])
+    def test_action_takes_only_its_own_flags(self, tmp_path, capsys, argv, named):
+        from segqa import campaign
+
+        state = tmp_path / "campaign.json"
+        campaign.save_state(campaign.CampaignState(cases=two_pending_cases()), state)
+        before = state.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", argv[0], "--state", str(state), *argv[1:]])
+        assert exc.value.code == 1
+        assert named in capsys.readouterr().err
+        assert state.read_bytes() == before
+
     def test_mark_unknown_case_fails(self, blob_corpus):
         root, _ = blob_corpus
         out = root / "attention"
@@ -923,23 +941,32 @@ class TestFpscanCli:
         assert not out.exists()
 
 
+# A file cut off mid-write: not JSON at all.
+TRUNCATED = pytest.param(b'{"cases": {"case1": {"1": "x.ni', id="truncated")
+
+
+def json_bytes(payload) -> bytes:
+    return payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+
+
 class TestMalformedJsonInputs:
-    """Hand-edited JSON inputs of the wrong shape exit 1 with the file named."""
+    """Hand-edited or cut-off JSON inputs exit 1 with the file named."""
 
     @pytest.mark.parametrize("manifest", [{"cases": {"case1": ["x.nii.gz"]}}, ["x"],
                                           {"cases": ["case1"]},
                                           {"cases": {"case1": {"1": 5}}},
-                                          {"cases": {"case1": {"one": "x.nii.gz"}}}])
+                                          {"cases": {"case1": {"one": "x.nii.gz"}}},
+                                          TRUNCATED])
     def test_detect_rejects_malformed_manifest(self, blob_corpus, capsys, manifest):
         root, _ = blob_corpus
         path = root / "modelA" / "manifest.json"
-        path.write_text(json.dumps(manifest))
+        path.write_bytes(json_bytes(manifest))
         rc = main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
                    "--out", str(root / "attention")])
         assert rc == 1
-        assert str(path) in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"segqa: error: {path}: ")
 
-    @pytest.mark.parametrize("sidecar", [[1, 2], "case1", {"total_mm3": 1.0}])
+    @pytest.mark.parametrize("sidecar", [[1, 2], "case1", {"total_mm3": 1.0}, TRUNCATED])
     def test_rank_rejects_malformed_sizes_sidecar(self, blob_corpus, capsys, tmp_path,
                                                   sidecar):
         root, _ = blob_corpus
@@ -947,10 +974,10 @@ class TestMalformedJsonInputs:
         assert main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
                      "--out", str(out)]) == 0
         bad = out / "other_sizes.json"
-        bad.write_text(json.dumps(sidecar))
+        bad.write_bytes(json_bytes(sidecar))
         capsys.readouterr()
         assert main(["rank", "--attention", str(out), "--out", str(tmp_path / "r.csv")]) == 1
-        assert str(bad) in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"segqa: error: {bad}: ")
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("command", ["rank", "evaluate", "campaign"])
@@ -977,15 +1004,16 @@ class TestMalformedJsonInputs:
     @pytest.mark.parametrize("payload", [
         {"version": 1, "loop_index": 0, "config": {}, "cases": [5]},
         [1],
+        TRUNCATED,
     ])
     @pytest.mark.parametrize("action", ["status", "stop-check", "mark"])
     def test_campaign_rejects_malformed_state(self, tmp_path, capsys, payload, action):
         state = tmp_path / "campaign.json"
-        state.write_text(json.dumps(payload))
+        state.write_bytes(json_bytes(payload))
         extra = ["--case", "a", "--status", "revised"] if action == "mark" else []
         assert main(["campaign", action, "--state", str(state), *extra]) == 1
-        assert str(state) in capsys.readouterr().err
-        assert json.loads(state.read_text()) == payload
+        assert capsys.readouterr().err.startswith(f"segqa: error: {state}: ")
+        assert state.read_bytes() == json_bytes(payload)
 
 
 class TestNonFiniteThresholds:
@@ -1113,6 +1141,7 @@ class TestParserBuiltOnce:
         from segqa import cli
 
         parser = cli.build_parser()
-        first = parser.parse_args(["campaign", "mark", "--state", "s", "--tag", "x"])
-        second = parser.parse_args(["campaign", "mark", "--state", "s"])
+        mark = ["campaign", "mark", "--state", "s", "--case", "c", "--status", "revised"]
+        first = parser.parse_args([*mark, "--tag", "x"])
+        second = parser.parse_args(mark)
         assert (first.tag, second.tag) == (["x"], [])

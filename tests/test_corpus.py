@@ -269,13 +269,13 @@ class TestLoad:
             tracemalloc.stop()
         assert peak < 2 * len(models) * int(np.prod(dims)) * 4
 
-    @pytest.mark.parametrize("dtype, value", [(np.float32, 1.0), (np.int16, -3)])
+    @pytest.mark.parametrize("dtype, value", [(np.float32, 1.0), (np.int16, -3), (np.uint8, 3)])
     def test_label_volume_must_be_non_negative_integers(self, tmp_path, dtype, value):
         path = tmp_path / "case.nii.gz"
         values = np.zeros((3, 2, 2), dtype=dtype)
         values[2, 1, 1] = value
         write_volume(VolumeGrid(values), path)
-        with pytest.raises(CorpusError, match="integer-kind|>= 0") as exc:
+        with pytest.raises(CorpusError, match=r"integer-kind|>= 0|must lie in 0\.\.2") as exc:
             load_label_volume(path, OrganLabelMap.generic(2))
         assert str(path) in str(exc.value)
 

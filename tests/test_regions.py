@@ -492,6 +492,16 @@ class TestEvaluateCase:
         with pytest.raises(ValueError, match="case 'c7', organ 'organ1': attention mask: trunc"):
             evaluate_case("c7", read_mask, pseudo, truth)
 
+    def test_non_binary_mask_names_the_case_and_organ(self):
+        labels = OrganLabelMap.generic(2)
+        pseudo = truth = LabelVolume(make_grid(np.zeros((4, 4, 4), np.uint8)), labels)
+
+        def read_mask(code):
+            return make_grid(np.full((4, 4, 4), code, np.uint8))
+
+        with pytest.raises(ValueError, match="case 'c7', organ 'organ2': attention mask: .*binary"):
+            evaluate_case("c7", read_mask, pseudo, truth)
+
     def test_previous_mask_released_before_the_next_is_read(self):
         """One organ's attention mask is alive at a time, also while the next is read."""
         labels = OrganLabelMap.generic(3)
