@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, get_origin, get_type_hints
+from typing import Callable, Sequence, get_origin, get_type_hints
 
 import numpy as np
 from scipy import ndimage
@@ -49,10 +49,6 @@ class UnknownCaseError(CampaignError):
 
 class IllegalTransitionError(CampaignError):
     pass
-
-
-class MissingPredictionsError(CampaignError):
-    """run_loop was given no loop-0 predictions."""
 
 
 class StateFileLockedError(CampaignError):
@@ -406,22 +402,22 @@ def _labels_as_predictions(case_id: str, label: LabelVolume, loop_index: int) ->
 
 
 def run_loop(
-    loop0: Mapping[str, PredictionSet],
-    truths: Mapping[str, LabelVolume],
+    case_ids: Sequence[str],
+    load_predictions: Callable[[str], PredictionSet],
+    load_truth: Callable[[str], LabelVolume],
     cfg: DetectionConfig | None = None,
     policy: LoopPolicy | None = None,
 ) -> list[LoopReport]:
     """Run the detect / select / revise loop over a fixed corpus.
 
-    Every loop makes one pass over the cases in case-id order. It looks each
-    case up once, builds its attention map and consensus labels, and drops
-    the predictions and the map before it looks up the next case; `loop0` may
-    therefore read each set from disk on lookup
-    (:class:`segqa.corpus.PredictionSets`). A case whose attention total
-    exceeds the cutoff is revised by the simulated annotator, then scored
-    against truth. Of a case only its final labels are kept, so across the
-    corpus the loop holds two uint8 volumes per case (truth and labels) plus
-    one case's channels.
+    Every loop makes one pass over the cases in case-id order. For each case
+    it loads the truth, builds the attention map and consensus labels, and
+    drops the predictions, the map and the truth before it loads the next
+    case. `load_predictions` is called once per case, in loop 0, and
+    `load_truth` once per case per loop. A case whose attention total exceeds
+    the cutoff is revised by the simulated annotator, then scored against
+    truth. Of a case only its final labels are kept, so across the corpus the
+    loop holds one uint8 volume per case plus one case's channels and truth.
 
     Every later loop recycles the previous loop's labels as two identical
     hard members, which exercises the full protocol without a training
@@ -432,12 +428,9 @@ def run_loop(
     """
     cfg = cfg or DetectionConfig()
     policy = policy or LoopPolicy()
-    if not loop0:
-        raise MissingPredictionsError("no predictions for loop 0")
-    case_ids = sorted(loop0)
-    if sorted(truths) != case_ids:
-        missing = sorted(set(case_ids) ^ set(truths))
-        raise CampaignError(f"prediction/truth case mismatch: {missing}")
+    if not case_ids:
+        raise CampaignError("run_loop: empty case list")
+    case_ids = sorted(case_ids)
 
     labels: dict[str, LabelVolume] = {}
     reports: list[LoopReport] = []
@@ -446,15 +439,15 @@ def run_loop(
         results = []
         for cid in case_ids:
             if loop_index == 0:
-                preds = loop0[cid]
+                preds = load_predictions(cid)
             else:
                 preds = _labels_as_predictions(cid, labels.pop(cid), loop_index)
-            truth = truths[cid]
+            truth = load_truth(cid)
             require_aligned(preds.grid, truth.grid, context=f"case {cid!r}: predictions/truth")
             amap = build_attention(preds, cfg)
             pseudo = ensemble_label(preds, cfg.binarize_threshold, truth.labels)
             attention_mm3, union_mask = amap.total_mm3, amap.union_mask
-            # Dropped before the next lookup, so one case's channels are alive at a time.
+            # Dropped before the next load, so one case's channels are alive at a time.
             del preds, amap
 
             selected = attention_mm3 > policy.size_threshold_mm3
@@ -471,6 +464,8 @@ def run_loop(
                     residual_error_mm3=residual_voxels * truth.grid.voxel_volume_mm3,
                 )
             )
+            # Only the final labels outlive the case.
+            del truth, pseudo, union_mask
 
         revised_count = sum(r.selected for r in results)
         reports.append(

@@ -28,12 +28,18 @@ from . import corpus, regions
 from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
 from .nifti import read_volume, write_volume
-from .volume import LabelVolume, OrganLabelMap, VolumeGrid, require_aligned
+from .volume import OrganLabelMap, VolumeGrid, require_aligned
 
 PROG = "segqa"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # A sub-parser's defaults override its parent's, so this names the leaf
+        # parser that ``main`` reports a stray flag through.
+        self.set_defaults(parser=self)
+
     # argparse exits 2 on bad flags; the contract reserves 2 for I/O errors.
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -209,18 +215,14 @@ def cmd_dsc(args: argparse.Namespace) -> int:
 def cmd_matrix(args: argparse.Namespace) -> int:
     if len(args.inputs) < 2:
         raise ValueError("matrix: need at least two --inputs files")
-    if args.organ < 1:
-        raise ValueError(f"matrix: organ code must be >= 1, got {args.organ}")
     names = []
-    labelings = []
+    masks = []
     for path in args.inputs:
-        grid = corpus.read_label_grid(path)
-        count = max(int(grid.values.max()), args.organ)
-        labelings.append(LabelVolume(grid, OrganLabelMap.for_channel_count(count)))
+        masks.append(_load_mask(path, args.organ))
         name = Path(path).name
         match = corpus.LABEL_RE.match(name)
         names.append(match.group("case") if match else name)
-    matrix = regions.dsc_matrix(labelings, args.organ)
+    matrix = regions.dsc_matrix(masks)
     rows = [[names[i]] + [repr(float(v)) for v in matrix[i]] for i in range(len(names))]
     corpus.write_csv(args.out, [""] + names, rows)
     print(f"matrix: wrote {len(names)}x{len(names)} matrix to {args.out}")
@@ -301,11 +303,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if missing:
         raise corpus.CorpusError(f"missing truth labels for cases: {missing[:5]}")
 
-    truths = {
-        cid: corpus.load_label_volume(truth_files[cid], labels) for cid in index.case_ids
-    }
     policy = camp.LoopPolicy(size_threshold_mm3=args.threshold_mm3, max_loops=args.loops)
-    reports = camp.run_loop(corpus.PredictionSets(index), truths, cfg, policy)
+    reports = camp.run_loop(
+        index.case_ids,
+        lambda cid: corpus.load_prediction_set(cid, index.members[cid]),
+        lambda cid: corpus.load_label_volume(truth_files[cid], labels),
+        cfg,
+        policy,
+    )
     corpus.write_json(
         args.out,
         {
@@ -337,7 +342,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_fpscan(args: argparse.Namespace) -> int:
     label_files = corpus.find_label_volumes(args.preds)
-    masks = [(cid, _load_mask(label_files[cid], args.organ)) for cid in sorted(label_files)]
+    masks = ((cid, _load_mask(label_files[cid], args.organ)) for cid in sorted(label_files))
     scan = regions.false_positive_scan(masks, connectivity=args.connectivity)
     payload = {
         "organ": args.organ,
@@ -445,7 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # parse_args would report a flag the sub-command does not know through the
+    # root parser, whose usage line names no sub-command.
+    args, stray = build_parser().parse_known_args(argv)
+    if stray:
+        args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
     try:
         return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import re
-from collections.abc import Iterator, Mapping
 from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -186,27 +185,6 @@ def load_prediction_set(case_id: str, members: CaseChannels) -> PredictionSet:
     except (ProbabilityRangeError, ChannelAlignmentError) as exc:
         model_dir, names = members[exc.member]
         raise CorpusError(f"case {case_id!r}: {model_dir / names[exc.code - 1]}: {exc}") from exc
-
-
-class PredictionSets(Mapping[str, PredictionSet]):
-    """Case id -> the case's PredictionSet, decoded from disk on every lookup.
-
-    Nothing is cached: a caller that drops each set before it looks up the
-    next holds one case's channels at a time. Iterating lists the index's
-    case ids and reads no file.
-    """
-
-    def __init__(self, index: CorpusIndex):
-        self._index = index
-
-    def __getitem__(self, case_id: str) -> PredictionSet:
-        return load_prediction_set(case_id, self._index.members[case_id])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._index.case_ids)
-
-    def __len__(self) -> int:
-        return len(self._index.case_ids)
 
 
 def read_label_grid(path: str | Path) -> VolumeGrid:

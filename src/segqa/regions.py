@@ -12,7 +12,7 @@ denominator are reported as undefined (None / "undefined"), never coerced to
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -128,17 +128,17 @@ def dsc(a: VolumeGrid, b: VolumeGrid) -> float:
     return _xor_dice(a.values != 0, b.values != 0)[1]
 
 
-def dsc_matrix(labelings: Sequence[LabelVolume], organ_code: int) -> np.ndarray:
-    """Pairwise Dice matrix of one organ across M labelings (symmetric, unit diagonal)."""
-    if len(labelings) < 2:
-        raise ValueError("dsc_matrix: need at least two labelings")
-    require_aligned(*(lv.grid for lv in labelings), context="labelings")
-    masks = [lv.grid.values == organ_code for lv in labelings]
-    m = len(masks)
+def dsc_matrix(masks: Sequence[VolumeGrid]) -> np.ndarray:
+    """Pairwise Dice matrix of M masks (symmetric, unit diagonal); nonzero is foreground."""
+    if len(masks) < 2:
+        raise ValueError("dsc_matrix: need at least two masks")
+    require_aligned(*masks, context="masks")
+    hits = [mask.values != 0 for mask in masks]
+    m = len(hits)
     out = np.ones((m, m), dtype=np.float64)
     for i in range(m):
         for j in range(i + 1, m):
-            out[i, j] = out[j, i] = _xor_dice(masks[i].copy(), masks[j])[1]
+            out[i, j] = out[j, i] = _xor_dice(hits[i].copy(), hits[j])[1]
     return out
 
 
@@ -179,24 +179,26 @@ class FalsePositiveScan:
 
 
 def false_positive_scan(
-    pred_masks: Sequence[tuple[str, VolumeGrid]], connectivity: int = 26
+    pred_masks: Iterable[tuple[str, VolumeGrid]], connectivity: int = 26
 ) -> FalsePositiveScan:
     """Count predictions on cases known to contain no target structure.
 
     A case is flagged as soon as its mask is non-empty; the component count
-    totals the separate blobs across the flagged cases.
+    totals the separate blobs across the flagged cases. Each mask is counted
+    as it arrives and dropped before the next is drawn, so a generator that
+    loads masks one by one holds one at a time.
     """
-    if not pred_masks:
+    per_case = []
+    for case_id, mask in pred_masks:
+        per_case.append(CaseComponentCount(case_id, connected_components(mask, connectivity)[1]))
+        del mask
+    if not per_case:
         raise ValueError("false_positive_scan: empty case list")
-    per_case = tuple(
-        CaseComponentCount(case_id, connected_components(mask, connectivity)[1])
-        for case_id, mask in pred_masks
-    )
     return FalsePositiveScan(
-        total_cases=len(pred_masks),
+        total_cases=len(per_case),
         flagged_case_count=sum(1 for c in per_case if c.component_count),
         total_component_count=sum(c.component_count for c in per_case),
-        per_case=per_case,
+        per_case=tuple(per_case),
     )
 
 

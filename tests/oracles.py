@@ -302,7 +302,6 @@ def two_pass_run_loop(loop0, truths, cfg=None, policy=None):
         CaseLoopResult,
         LoopPolicy,
         LoopReport,
-        MissingPredictionsError,
         rank_cases,
         select_for_revision,
         simulate_revision,
@@ -314,7 +313,7 @@ def two_pass_run_loop(loop0, truths, cfg=None, policy=None):
     cfg = cfg or DetectionConfig()
     policy = policy or LoopPolicy()
     if not loop0:
-        raise MissingPredictionsError("no predictions for loop 0")
+        raise CampaignError("run_loop: empty case list")
     case_ids = sorted(loop0)
     if sorted(truths) != case_ids:
         missing = sorted(set(case_ids) ^ set(truths))

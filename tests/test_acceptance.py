@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from grids import make_grid, mask_grid, prediction_set, whole
+from grids import mask_grid, prediction_set, whole
 from oracles import attention_union_oracle, componentwise_oracle
 from segqa.campaign import LoopPolicy, run_loop
 from segqa.cli import main
@@ -20,7 +20,6 @@ from segqa.detect import DetectionConfig, binary_entropy, build_attention
 from segqa.nifti import NiftiFormatError, read_volume, write_volume
 from segqa.regions import componentwise_metrics, dsc
 from segqa.volume import (
-    OrganLabelMap,
     VolumeGrid,
     labels_from_soft,
     stable_mean_std,
@@ -161,17 +160,10 @@ def test_dsc_properties():
         assert dsc(a, a) == 1.0
 
     from segqa.regions import dsc_matrix
-    from segqa.volume import LabelVolume
 
     for _ in range(20):
-        volumes = [
-            LabelVolume(
-                make_grid(rng.integers(0, 3, (4, 4, 4)), dtype=np.uint8),
-                OrganLabelMap.generic(2),
-            )
-            for _ in range(4)
-        ]
-        matrix = dsc_matrix(volumes, organ_code=1)
+        masks = [mask_grid(rng.integers(0, 2, (4, 4, 4), dtype=np.uint8)) for _ in range(4)]
+        matrix = dsc_matrix(masks)
         assert np.array_equal(matrix, matrix.T)
         assert np.array_equal(np.diag(matrix), np.ones(4))
         assert float(matrix.min()) >= 0.0 and float(matrix.max()) <= 1.0
@@ -236,8 +228,9 @@ def test_simulated_loop():
     assert covered_errors / total_errors >= 0.9
 
     reports = run_loop(
-        loop0=predictions,
-        truths=truths,
+        sorted(predictions),
+        predictions.__getitem__,
+        truths.__getitem__,
         cfg=cfg,
         policy=LoopPolicy(size_threshold_mm3=0.0, max_loops=3),
     )

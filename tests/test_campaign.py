@@ -7,7 +7,6 @@ import sys
 import tempfile
 import tracemalloc
 import weakref
-from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,6 @@ from segqa.campaign import (
     CaseEntry,
     IllegalTransitionError,
     LoopPolicy,
-    MissingPredictionsError,
     UnknownCaseError,
     _labels_as_predictions,
     _read_state,
@@ -472,24 +470,18 @@ class TestSimulateRevision:
             assert np.array_equal(out.grid.values, expected)
 
 
-class FreshLookups(Mapping):
-    """Loop-0 predictions served as a corpus on disk serves them: a new
-    PredictionSet on every lookup, nothing kept between lookups."""
+class FreshLookups:
+    """Loop-0 predictions loaded as a corpus on disk loads them: a new
+    PredictionSet on every call, nothing kept between calls."""
 
     def __init__(self, sets, make=PredictionSet):
         self.parts = {ps.case_id: (ps.grid, ps.organs) for ps in sets}
         self.make = make
         self.lookups = 0
 
-    def __getitem__(self, case_id):
+    def __call__(self, case_id):
         self.lookups += 1
         return self.make(case_id, *self.parts[case_id])
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
 
 
 def three_cases():
@@ -500,6 +492,11 @@ def three_cases():
     return sets, {ps.case_id: truth for ps in sets}
 
 
+def run_cases(sets, truths, **kwargs):
+    """run_loop over in-memory cases keyed by id."""
+    return run_loop(list(sets), sets.__getitem__, truths.__getitem__, **kwargs)
+
+
 class TestRunLoop:
     def test_perfect_predictions_stop_immediately(self):
         dims = (6, 6, 6)
@@ -507,21 +504,21 @@ class TestRunLoop:
         organ[2:4, 2:4, 2:4] = 1.0
         ps = prediction_set("c0", [[organ]] * 3)
         truth = labels_from_soft(*whole([organ]), 0.5)
-        reports = run_loop({"c0": ps}, {"c0": truth})
+        reports = run_cases({"c0": ps}, {"c0": truth})
         assert len(reports) == 1
         assert reports[0].revised_count == 0
         assert reports[0].stopped is True
 
     def test_covered_errors_vanish_after_one_loop(self):
         ps, truth = two_organ_case()
-        reports = run_loop({ps.case_id: ps}, {ps.case_id: truth})
+        reports = run_cases({ps.case_id: ps}, {ps.case_id: truth})
         assert reports[0].revised_count == 1
         assert reports[0].residual_error_mm3 == 0.0
         assert reports[0].cases[0].dsc_after == 1.0
 
     def test_recycled_labels_shrink_attention(self):
         ps, truth = two_organ_case()
-        reports = run_loop(
+        reports = run_cases(
             {ps.case_id: ps}, {ps.case_id: truth}, policy=LoopPolicy(max_loops=3)
         )
         assert len(reports) == 2
@@ -529,22 +526,21 @@ class TestRunLoop:
         assert reports[1].stopped is True
 
     def test_missing_loop_zero_rejected(self):
+        """An empty case list leaves loop 0 without predictions."""
         ps, truth = two_organ_case()
-        with pytest.raises(MissingPredictionsError):
-            run_loop({}, {ps.case_id: truth})
-
-    def test_case_mismatch_rejected(self):
-        ps, truth = two_organ_case()
-        with pytest.raises(CampaignError):
-            run_loop({ps.case_id: ps}, {"other": truth})
+        with pytest.raises(CampaignError, match="empty case list"):
+            run_loop([], {ps.case_id: ps}.__getitem__, {ps.case_id: truth}.__getitem__)
 
     def test_loop_zero_looked_up_once_per_case(self):
         sets, truths = three_cases()
         loop0 = FreshLookups(sets)
-        reports = run_loop(loop0, truths)
+        truth_loads = []
+        reports = run_loop([ps.case_id for ps in sets], loop0,
+                           lambda cid: truth_loads.append(cid) or truths[cid])
         assert len(reports) == 2
         assert loop0.lookups == len(sets)
-        assert reports == run_loop({ps.case_id: ps for ps in sets}, truths)
+        assert truth_loads == [ps.case_id for ps in sets] * len(reports)
+        assert reports == run_cases({ps.case_id: ps for ps in sets}, truths)
 
     def test_each_case_freed_before_the_next_is_looked_up(self, monkeypatch):
         """A case's predictions and attention map are gone when the next case is read."""
@@ -575,7 +571,8 @@ class TestRunLoop:
         monkeypatch.setattr(campaign, "_labels_as_predictions",
                             looked_up(campaign._labels_as_predictions))
         sets, truths = three_cases()
-        reports = run_loop(FreshLookups(sets, make=looked_up(PredictionSet)), truths)
+        reports = run_loop([ps.case_id for ps in sets],
+                           FreshLookups(sets, make=looked_up(PredictionSet)), truths.__getitem__)
         assert len(reports) == 2
         assert alive_at_lookup == [0] * (2 * len(sets))
 
@@ -707,7 +704,7 @@ class TestRunLoopMatchesTwoPassReference:
         if threshold is None:
             return
         policy = LoopPolicy(size_threshold_mm3=threshold, max_loops=max_loops)
-        reports = run_loop(sets, truths, policy=policy)
+        reports = run_cases(sets, truths, policy=policy)
         assert reports == two_pass_run_loop(sets, truths, policy=policy)
         # Recycled hard labels never disagree, waver or overlap.
         assert all(r.total_attention_mm3 == 0 and r.stopped for r in reports[1:])
@@ -724,4 +721,4 @@ class TestRunLoopMatchesTwoPassReference:
         assert policy.size_threshold_mm3 > 0
         assert [c.selected for c in reference[0].cases].count(True) == 1
         assert reference[0].stopped is False
-        assert run_loop(sets, truths, policy=policy) == reference
+        assert run_cases(sets, truths, policy=policy) == reference

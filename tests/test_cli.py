@@ -836,6 +836,50 @@ class TestSimulateCli:
         assert "'case5'" in err and str(bad) in err
         assert not report.exists()
 
+    def test_case_without_truth_fails_without_report(self, six_case_corpus, tmp_path, capsys):
+        root, models = six_case_corpus
+        (root / "truth" / "case3.nii.gz").unlink()
+        report = tmp_path / "report.json"
+        rc = main(["simulate", "--preds", *models, "--truth", str(root / "truth"),
+                   "--out", str(report)])
+        assert rc == 1
+        assert "missing truth labels for cases: ['case3']" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_bad_code_in_last_truth_fails_without_report(self, six_case_corpus, tmp_path,
+                                                          capsys):
+        root, models = six_case_corpus
+        bad = root / "truth" / "case5.nii.gz"
+        write_labels(bad, np.full((5, 5, 4), 3))
+        report = tmp_path / "report.json"
+        rc = main(["simulate", "--preds", *models, "--truth", str(root / "truth"),
+                   "--out", str(report)])
+        assert rc == 1
+        assert f"{bad}: label values must lie in 0..2" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_previous_truth_freed_before_next_loads(self, six_case_corpus, monkeypatch,
+                                                    tmp_path):
+        from segqa import corpus
+
+        root, models = six_case_corpus
+        real = corpus.load_label_volume
+        loaded = []
+        alive_at_load = []
+
+        def tracking(path, labels):
+            alive_at_load.append(sum(ref() is not None for ref in loaded))
+            truth = real(path, labels)
+            loaded.append(weakref.ref(truth))
+            return truth
+
+        monkeypatch.setattr(corpus, "load_label_volume", tracking)
+        report = tmp_path / "report.json"
+        assert main(["simulate", "--preds", *models, "--truth", str(root / "truth"),
+                     "--out", str(report)]) == 0
+        loops = len(json.loads(report.read_text())["loops"])
+        assert alive_at_load == [0] * (6 * loops)
+
 
 class TestMisalignedTruth:
     """A truth volume on another grid than the case's predictions names the case."""
@@ -929,6 +973,28 @@ class TestFpscanCli:
         assert rc == 1
         assert f"{path}: label values must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_previous_mask_freed_before_next_loads(self, tmp_path, monkeypatch):
+        from segqa import cli
+
+        blob = np.zeros((4, 4, 4), dtype=np.uint8)
+        blob[1:3, 1:3, 1:3] = 1
+        for case in range(4):
+            write_labels(tmp_path / "preds" / f"case{case}.nii.gz", blob)
+        real = cli._load_mask
+        loaded = []
+        alive_at_load = []
+
+        def tracking(path, organ):
+            alive_at_load.append(sum(ref() is not None for ref in loaded))
+            mask = real(path, organ)
+            loaded.append(weakref.ref(mask))
+            return mask
+
+        monkeypatch.setattr(cli, "_load_mask", tracking)
+        assert main(["fpscan", "--preds", str(tmp_path / "preds"), "--organ", "1",
+                     "--out", str(tmp_path / "fp.json")]) == 0
+        assert alive_at_load == [0] * 4
 
     @pytest.mark.parametrize("organ", ["0", "-1"])
     def test_rejects_organ_below_one(self, tmp_path, capsys, organ):
@@ -1111,6 +1177,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["detect", "--nope"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["campaign", "status", "--state", "s", "--force"], "usage: segqa campaign status "),
+        (["rank", "--attention", "a", "--out", "b", "--bogus"], "usage: segqa rank "),
+    ], ids=["campaign-status", "rank"])
+    def test_stray_flag_prints_its_sub_command_usage(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(usage)
+        assert f"unrecognized arguments: {argv[-1]}" in err
 
     def test_malformed_nifti_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.nii"

@@ -388,32 +388,29 @@ class TestDsc:
 
 class TestDscMatrix:
     def test_identical_labelings(self):
-        lv = label_volume([[[1, 2], [0, 1]]])
-        m = dsc_matrix([lv, lv, lv], organ_code=1)
+        mask = mask_grid([[[1, 0], [0, 1]]])
+        m = dsc_matrix([mask, mask, mask])
         assert np.array_equal(m, np.ones((3, 3)))
 
     def test_disjoint_masks(self):
-        a = label_volume([[[1, 0]]])
-        b = label_volume([[[0, 1]]])
-        m = dsc_matrix([a, b], organ_code=1)
+        a = mask_grid([[[1, 0]]])
+        b = mask_grid([[[0, 1]]])
+        m = dsc_matrix([a, b])
         assert m[0, 1] == 0.0 and m[1, 0] == 0.0
         assert m[0, 0] == 1.0 and m[1, 1] == 1.0
 
     def test_matches_pairwise_oracle(self, rng):
-        volumes = []
-        for _ in range(3):
-            volumes.append(label_volume(rng.integers(0, 3, (4, 4, 4)), organs=2))
-        m = dsc_matrix(volumes, organ_code=2)
+        masks = [mask_grid(rng.integers(0, 2, (4, 4, 4))) for _ in range(3)]
+        m = dsc_matrix(masks)
         for i in range(3):
             for j in range(3):
-                expected = dsc(*(mask_grid(volumes[k].grid.values == 2) for k in (i, j)))
-                assert m[i, j] == expected
+                assert m[i, j] == dsc(masks[i], masks[j])
         assert np.array_equal(m, m.T)
         assert np.array_equal(np.diag(m), np.ones(3))
 
     def test_needs_two(self):
         with pytest.raises(ValueError):
-            dsc_matrix([label_volume([[[1]]])], organ_code=1)
+            dsc_matrix([mask_grid([[[1]]])])
 
 
 class TestMeanLabelDsc:
