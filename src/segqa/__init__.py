@@ -39,7 +39,6 @@ from .regions import (
 from .volume import (
     AlignmentError,
     LabelVolume,
-    OrganLabelMap,
     PredictionSet,
     SoftPrediction,
     VolumeGrid,
@@ -58,7 +57,6 @@ __all__ = [
     "LabelVolume",
     "LoopPolicy",
     "NiftiFormatError",
-    "OrganLabelMap",
     "PredictionSet",
     "SoftPrediction",
     "VolumeGrid",

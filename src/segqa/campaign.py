@@ -343,12 +343,12 @@ def simulate_revision(
     Any residual disagreement with truth therefore lies entirely outside the
     attention map, which is exactly the error the detector failed to flag.
     """
-    if pseudo.labels.codes != truth.labels.codes:
-        raise CampaignError("pseudo and truth label volumes use different organ maps")
+    if pseudo.organs != truth.organs:
+        raise CampaignError("pseudo and truth label volumes have different organ counts")
     require_aligned(pseudo.grid, truth.grid, union_mask, context="revision inputs")
     inside = union_mask.values != 0
     revised = np.where(inside, truth.grid.values, pseudo.grid.values)
-    return LabelVolume(pseudo.grid.with_values(revised.astype(pseudo.grid.values.dtype)), pseudo.labels)
+    return LabelVolume(pseudo.grid.with_values(revised.astype(pseudo.grid.values.dtype)), pseudo.organs)
 
 
 @dataclass(frozen=True)
@@ -393,7 +393,7 @@ def _labels_as_predictions(case_id: str, label: LabelVolume, loop_index: int) ->
     # An organ's bounding box in the labels is the support box of its channel.
     values = label.grid.values
     organs = []
-    for code, box in zip(label.labels.codes, ndimage.find_objects(values, len(label.labels))):
+    for code, box in enumerate(ndimage.find_objects(values, label.organs), start=1):
         box = box or EMPTY_BOX
         crop = (values[box] == code).astype(np.float32)
         organs.append((box, (crop, crop)))
@@ -445,7 +445,7 @@ def run_loop(
             truth = load_truth(cid)
             require_aligned(preds.grid, truth.grid, context=f"case {cid!r}: predictions/truth")
             amap = build_attention(preds, cfg)
-            pseudo = ensemble_label(preds, cfg.binarize_threshold, truth.labels)
+            pseudo = ensemble_label(preds, cfg.binarize_threshold)
             attention_mm3, union_mask = amap.total_mm3, amap.union_mask
             # Dropped before the next load, so one case's channels are alive at a time.
             del preds, amap

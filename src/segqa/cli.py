@@ -28,7 +28,7 @@ from . import corpus, regions
 from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
 from .nifti import read_volume, write_volume
-from .volume import OrganLabelMap, VolumeGrid, require_aligned
+from .volume import VolumeGrid, organ_names, require_aligned
 
 PROG = "segqa"
 
@@ -69,9 +69,7 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
 def _detect_one(task: tuple[str, corpus.CaseChannels, str, DetectionConfig]) -> str:
     case_id, members, out_dir, cfg = task
     preds = corpus.load_prediction_set(case_id, members)
-    amap = build_attention(preds, cfg)
-    labels = OrganLabelMap.for_channel_count(preds.num_organs)
-    corpus.write_attention_outputs(out_dir, amap, labels, cfg)
+    corpus.write_attention_outputs(out_dir, build_attention(preds, cfg), cfg)
     return case_id
 
 
@@ -158,8 +156,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     sizes = corpus.read_sizes(args.attention)
-    organ_count = len(sizes[0]["organ_names"])
-    labels = OrganLabelMap.for_channel_count(organ_count)
+    organs = len(sizes[0]["organ_names"])
     pseudo_files = corpus.find_label_volumes(args.pseudo)
     truth_files = corpus.find_label_volumes(args.truth)
     attention_dir = Path(args.attention)
@@ -178,8 +175,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         case_id = str(s["case_id"])
         if case_id not in pseudo_files or case_id not in truth_files:
             raise corpus.CorpusError(f"case {case_id!r}: missing pseudo or truth labels")
-        pseudo = corpus.load_label_volume(pseudo_files[case_id], labels)
-        truth = corpus.load_label_volume(truth_files[case_id], labels)
+        pseudo = corpus.load_label_volume(pseudo_files[case_id], organs)
+        truth = corpus.load_label_volume(truth_files[case_id], organs)
         require_aligned(pseudo.grid, truth.grid,
                         context=f"case {case_id!r}: {truth_files[case_id]}: pseudo/truth labels")
         cases[case_id] = regions.evaluate_case(
@@ -230,12 +227,11 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _ensemble_one(
-    case_id: str, members: corpus.CaseChannels, labels: OrganLabelMap, out_dir: Path,
-    threshold: float,
+    case_id: str, members: corpus.CaseChannels, out_dir: Path, threshold: float
 ) -> None:
     # A function of its own, so one case's channels are freed before the next loads.
     preds = corpus.load_prediction_set(case_id, members)
-    label = ensemble_label(preds, threshold, labels)
+    label = ensemble_label(preds, threshold)
     write_volume(label.grid, out_dir / f"{case_id}.nii.gz")
     corpus.write_json(
         out_dir / f"{case_id}_ensemble.json",
@@ -243,18 +239,17 @@ def _ensemble_one(
             "case_id": case_id,
             "model_ids": list(preds.model_ids),
             "binarize_threshold": threshold,
-            "organ_names": list(labels.names),
+            "organ_names": list(organ_names(label.organs)),
         },
     )
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
     index = corpus.discover_cases([str(d) for d in args.preds])
-    labels = OrganLabelMap.for_channel_count(index.organ_count)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for case_id in index.case_ids:
-        _ensemble_one(case_id, index.members[case_id], labels, out_dir, args.bin_thresh)
+        _ensemble_one(case_id, index.members[case_id], out_dir, args.bin_thresh)
     print(f"ensemble: wrote {len(index.case_ids)} label volumes to {args.out}")
     return 0
 
@@ -297,7 +292,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _detection_config(args)
     index = corpus.discover_cases([str(d) for d in args.preds])
-    labels = OrganLabelMap.for_channel_count(index.organ_count)
     truth_files = corpus.find_label_volumes(args.truth)
     missing = [cid for cid in index.case_ids if cid not in truth_files]
     if missing:
@@ -307,7 +301,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     reports = camp.run_loop(
         index.case_ids,
         lambda cid: corpus.load_prediction_set(cid, index.members[cid]),
-        lambda cid: corpus.load_label_volume(truth_files[cid], labels),
+        lambda cid: corpus.load_label_volume(truth_files[cid], index.organ_count),
         cfg,
         policy,
     )
@@ -451,10 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     # parse_args would report a flag the sub-command does not know through the
-    # root parser, whose usage line names no sub-command.
-    args, stray = build_parser().parse_known_args(argv)
+    # root parser, whose usage line names no sub-command. The root parser takes
+    # no flag but -h, so every word before the sub-command's name is a stray
+    # flag of its own.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, stray = parser.parse_known_args(argv)
     if stray:
-        args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
+        early = argv[:argv.index(args.command)]
+        (parser if early else args.parser).error(
+            f"unrecognized arguments: {' '.join(early or stray)}")
     try:
         return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:

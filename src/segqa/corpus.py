@@ -37,10 +37,10 @@ from .nifti import open_replacing, read_volume, write_volume
 from .volume import (
     ChannelAlignmentError,
     LabelVolume,
-    OrganLabelMap,
     PredictionSet,
     ProbabilityRangeError,
     VolumeGrid,
+    organ_names,
 )
 
 CHANNEL_RE = re.compile(r"^(?P<case>.+)_organ(?P<code>\d+)\.nii(\.gz)?$")
@@ -198,11 +198,11 @@ def read_label_grid(path: str | Path) -> VolumeGrid:
     return grid
 
 
-def load_label_volume(path: str | Path, labels: OrganLabelMap) -> LabelVolume:
+def load_label_volume(path: str | Path, organs: int) -> LabelVolume:
     """Read a label volume; a code above the organ count is an error naming the file."""
     grid = read_label_grid(path)
     try:
-        return LabelVolume(grid, labels)
+        return LabelVolume(grid, organs)
     except ValueError as exc:
         raise CorpusError(f"{path}: {exc}") from None
 
@@ -221,31 +221,22 @@ def sizes_path(out_dir: Path, case_id: str) -> Path:
     return out_dir / f"{case_id}_sizes.json"
 
 
-def write_attention_outputs(
-    out_dir: str | Path,
-    amap: AttentionMap,
-    labels: OrganLabelMap,
-    cfg: DetectionConfig,
-) -> dict[str, object]:
+def write_attention_outputs(out_dir: str | Path, amap: AttentionMap, cfg: DetectionConfig) -> None:
     """Persist union + per-organ masks as NIfTI and the sizes JSON sidecar."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_volume(amap.union_mask, attention_union_path(out_dir, amap.case_id))
-    for code in labels.codes:
-        write_volume(
-            amap.organ_mask(code), attention_organ_path(out_dir, amap.case_id, code)
-        )
+    names = organ_names(len(amap.organ_crops))
+    for code in range(1, len(names) + 1):
+        write_volume(amap.organ_mask(code), attention_organ_path(out_dir, amap.case_id, code))
     sizes = {
         "case_id": amap.case_id,
-        "organ_names": list(labels.names),
-        "per_organ_mm3": {
-            labels.name_of(code): amap.per_organ_mm3[code - 1] for code in labels.codes
-        },
+        "organ_names": list(names),
+        "per_organ_mm3": dict(zip(names, amap.per_organ_mm3)),
         "total_mm3": amap.total_mm3,
         "config": asdict(cfg),
     }
     write_json(sizes_path(out_dir, amap.case_id), sizes)
-    return sizes
 
 
 def _is_size(value: object) -> bool:
@@ -277,6 +268,9 @@ def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
         if case_id in sources:
             raise CorpusError(f"{path}: case id {case_id!r} is also in {sources[case_id]}")
         sources[case_id] = path
+        if not isinstance(sizes[-1].get("config"), dict):
+            raise CorpusError(f"{path}: field 'config' must be a JSON object, "
+                              f"got {sizes[-1].get('config')!r}")
         for key in ("organ_names", "config"):
             if sizes[-1].get(key) != sizes[0].get(key):
                 raise CorpusError(f"{path}: field {key!r} is {sizes[-1].get(key)!r}, "
@@ -328,6 +322,9 @@ def read_ranking_csv(path: str | Path) -> list[dict[str, object]]:
         rows = list(reader)
     if not rows:
         raise CorpusError(f"{path}: empty ranking")
+    for field in ("rank", "case_id", "total_mm3"):
+        if field not in reader.fieldnames:
+            raise CorpusError(f"{path}: header {reader.fieldnames} lacks field {field!r}")
     for n, row in enumerate(rows, start=1):
         if None in row or None in row.values():  # too many fields, or too few
             raise CorpusError(f"{path}: row {n}: expected exactly {reader.fieldnames}")

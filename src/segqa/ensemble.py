@@ -11,18 +11,13 @@ import numpy as np
 
 from .volume import (
     LabelVolume,
-    OrganLabelMap,
     PredictionSet,
     labels_from_soft,
     stable_mean,
 )
 
 
-def ensemble_label(
-    preds: PredictionSet,
-    binarize_threshold: float = 0.5,
-    labels: OrganLabelMap | None = None,
-) -> LabelVolume:
+def ensemble_label(preds: PredictionSet, binarize_threshold: float = 0.5) -> LabelVolume:
     """Discrete consensus labels: threshold-gated argmax of the mean channels.
 
     Each organ's mean is computed over its members' crops and labels only
@@ -30,4 +25,4 @@ def ensemble_label(
     outside it never labels a voxel.
     """
     means = [(organ.box, stable_mean(organ.crops).astype(np.float32)) for organ in preds.organs]
-    return labels_from_soft(preds.grid, means, binarize_threshold, labels)
+    return labels_from_soft(preds.grid, means, binarize_threshold)

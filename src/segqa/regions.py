@@ -22,6 +22,7 @@ from .volume import (
     LabelVolume,
     VolumeGrid,
     _require_binary,
+    organ_names,
     require_aligned,
     support_box,
 )
@@ -150,12 +151,12 @@ def organ_error(pseudo: LabelVolume, truth: LabelVolume, code: int) -> tuple[Vol
 
 
 def mean_label_dsc(a: LabelVolume, b: LabelVolume) -> float:
-    """Mean per-organ Dice between two label volumes over the full label map."""
-    if a.labels.codes != b.labels.codes:
-        raise ValueError("label volumes use different organ maps")
+    """Mean per-organ Dice between two label volumes over every organ code."""
+    if a.organs != b.organs:
+        raise ValueError("label volumes have different organ counts")
     require_aligned(a.grid, b.grid, context="label volumes")
     va, vb = a.grid.values, b.grid.values
-    return float(np.mean([_xor_dice(va == code, vb == code)[1] for code in a.labels.codes]))
+    return float(np.mean([_xor_dice(va == code, vb == code)[1] for code in range(1, a.organs + 1)]))
 
 
 @dataclass(frozen=True)
@@ -212,13 +213,13 @@ def evaluate_case(
     """Score one case's per-organ attention masks against the error benchmark.
 
     read_mask(code) returns the attention mask of one organ code of the pseudo
-    label map; it is called as that organ is scored, in code order. The
-    metrics are keyed by organ name, in code order.
+    labels; it is called as that organ is scored, in code order. The metrics
+    are keyed by organ name (:func:`organ_names`), in code order.
     """
-    if pseudo.labels.codes != truth.labels.codes:
-        raise AlignmentError("pseudo and truth label volumes use different organ maps")
+    if pseudo.organs != truth.organs:
+        raise AlignmentError("pseudo and truth label volumes have different organ counts")
     organs: dict[str, OrganMetrics] = {}
-    for code, name in pseudo.labels.entries:
+    for code, name in enumerate(organ_names(pseudo.organs), start=1):
         benchmark, organ_dsc = organ_error(pseudo, truth, code)
         # A mask that fails to load, lies on another grid or is not binary names
         # the case and organ; componentwise_metrics checks the values as it labels them.

@@ -165,64 +165,29 @@ def require_aligned(*grids: VolumeGrid, context: str = "volumes") -> None:
             )
 
 
-@dataclass(frozen=True)
-class OrganLabelMap:
-    """Ordered (code, name) pairs for the target structures; background is 0."""
-
-    entries: tuple[tuple[int, str], ...]
-
-    def __post_init__(self) -> None:
-        codes = [code for code, _ in self.entries]
-        if codes != list(range(1, len(codes) + 1)):
-            raise ValueError(f"organ codes must be contiguous from 1, got {codes}")
-        names = [name for _, name in self.entries]
-        if len(set(names)) != len(names) or any(not n for n in names):
-            raise ValueError("organ names must be unique and non-empty")
-
-    @classmethod
-    def default(cls) -> "OrganLabelMap":
-        return cls(DEFAULT_ORGANS)
-
-    @classmethod
-    def generic(cls, n: int) -> "OrganLabelMap":
-        """Placeholder names organ1..organN for corpora without the standard set."""
-        if n < 1:
-            raise ValueError("need at least one organ")
-        return cls(tuple((i, f"organ{i}") for i in range(1, n + 1)))
-
-    @classmethod
-    def for_channel_count(cls, n: int) -> "OrganLabelMap":
-        return cls.default() if n == len(DEFAULT_ORGANS) else cls.generic(n)
-
-    @property
-    def codes(self) -> tuple[int, ...]:
-        return tuple(code for code, _ in self.entries)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for _, name in self.entries)
-
-    def name_of(self, code: int) -> str:
-        return self.entries[code - 1][1]
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def organ_names(n: int) -> tuple[str, ...]:
+    """Names of organ codes 1..n: the nine DEFAULT_ORGANS when n is 9, else organ1..organN."""
+    if n < 1:
+        raise ValueError("need at least one organ")
+    if n == len(DEFAULT_ORGANS):
+        return tuple(name for _, name in DEFAULT_ORGANS)
+    return tuple(f"organ{i}" for i in range(1, n + 1))
 
 
 @dataclass(frozen=True, eq=False)
 class LabelVolume:
-    """Discrete per-voxel organ codes on a grid; 0 is background."""
+    """Discrete per-voxel organ codes 1..organs on a grid; 0 is background."""
 
     grid: VolumeGrid
-    labels: OrganLabelMap
+    organs: int
 
     def __post_init__(self) -> None:
         v = self.grid.values
         if v.dtype not in (np.dtype(np.uint8), np.dtype(np.int16)):
             raise TypeError(f"label volumes must be integer-kind, got {v.dtype}")
-        if v.size and (int(v.min()) < 0 or int(v.max()) > len(self.labels)):
+        if v.size and (int(v.min()) < 0 or int(v.max()) > self.organs):
             raise ValueError(
-                f"label values must lie in 0..{len(self.labels)}, "
+                f"label values must lie in 0..{self.organs}, "
                 f"found range {int(v.min())}..{int(v.max())}"
             )
 
@@ -332,10 +297,6 @@ class PredictionSet:
     def num_members(self) -> int:
         return len(self.model_ids)
 
-    @property
-    def num_organs(self) -> int:
-        return len(self.organs)
-
 
 def _geometry(grid: VolumeGrid) -> VolumeGrid:
     """``grid``'s geometry without its voxels: one zero broadcast to its dims."""
@@ -385,10 +346,7 @@ def _check_threshold(threshold: float) -> float:
 
 
 def labels_from_soft(
-    grid: VolumeGrid,
-    channels: Sequence[tuple[Box, np.ndarray]],
-    threshold: float = 0.5,
-    labels: OrganLabelMap | None = None,
+    grid: VolumeGrid, channels: Sequence[tuple[Box, np.ndarray]], threshold: float = 0.5
 ) -> LabelVolume:
     """Discrete labels on ``grid`` from per-organ probabilities, each held in a box.
 
@@ -419,9 +377,7 @@ def labels_from_soft(
         best[box][values > top] = code
         np.maximum(top, values, out=top)
     codes = np.where(peak >= t, best, np.uint8(0))
-    if labels is None:
-        labels = OrganLabelMap.for_channel_count(len(channels))
-    return LabelVolume(grid.with_values(codes), labels)
+    return LabelVolume(grid.with_values(codes), len(channels))
 
 
 def support_box(arrays: Sequence[np.ndarray]) -> tuple[slice, ...]:

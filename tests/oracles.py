@@ -279,7 +279,7 @@ def soft_from_labels(label):
     """Hard 0/1 float32 channels of a label volume, one per organ code, made on demand."""
     return (
         label.grid.with_values((label.grid.values == code).astype(np.float32))
-        for code in label.labels.codes
+        for code in range(1, label.organs + 1)
     )
 
 
@@ -333,7 +333,7 @@ def two_pass_run_loop(loop0, truths, cfg=None, policy=None):
             else:
                 preds = labels_as_predictions(cid, revised.pop(cid), member_count, loop_index)
             amap = build_attention(preds, cfg)
-            pseudo = ensemble_label(preds, cfg.binarize_threshold, truths[cid].labels)
+            pseudo = ensemble_label(preds, cfg.binarize_threshold)
             reduced[cid] = (amap.total_mm3, amap.union_mask, pseudo)
             del preds, amap
 

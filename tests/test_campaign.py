@@ -42,7 +42,7 @@ from segqa.campaign import (
 )
 from segqa.detect import build_attention
 from segqa.regions import mean_label_dsc
-from segqa.volume import LabelVolume, OrganLabelMap, PredictionSet, labels_from_soft
+from segqa.volume import LabelVolume, PredictionSet, labels_from_soft
 
 
 def entry(case_id, total, status="pending"):
@@ -433,9 +433,8 @@ class TestSimulateRevision:
         truth_values = np.zeros(dims, dtype=np.uint8)
         truth_values[0:2, 0, 0] = 1
         pseudo_values = np.zeros(dims, dtype=np.uint8)
-        labels = OrganLabelMap.generic(1)
-        truth = LabelVolume(make_grid(truth_values, dtype=np.uint8), labels)
-        pseudo = LabelVolume(make_grid(pseudo_values, dtype=np.uint8), labels)
+        truth = LabelVolume(make_grid(truth_values, dtype=np.uint8), 1)
+        pseudo = LabelVolume(make_grid(pseudo_values, dtype=np.uint8), 1)
 
         # attention covering exactly one of the two error voxels
         half = np.zeros(dims, dtype=np.float32)
@@ -458,13 +457,12 @@ class TestSimulateRevision:
     def test_voxelwise_identity_against_where_oracle(self, rng):
         from grids import mask_grid
 
-        labels = OrganLabelMap.generic(2)
         for _ in range(20):
             pseudo_values = rng.integers(0, 3, (4, 4, 4)).astype(np.uint8)
             truth_values = rng.integers(0, 3, (4, 4, 4)).astype(np.uint8)
             att = (rng.random((4, 4, 4)) < 0.4).astype(np.uint8)
-            pseudo = LabelVolume(make_grid(pseudo_values, dtype=np.uint8), labels)
-            truth = LabelVolume(make_grid(truth_values, dtype=np.uint8), labels)
+            pseudo = LabelVolume(make_grid(pseudo_values, dtype=np.uint8), 2)
+            truth = LabelVolume(make_grid(truth_values, dtype=np.uint8), 2)
             out = simulate_revision(pseudo, truth, mask_grid(att))
             expected = np.where(att != 0, truth_values, pseudo_values)
             assert np.array_equal(out.grid.values, expected)
@@ -578,7 +576,7 @@ class TestRunLoop:
 
 
 def label_volume(values, organs, dtype=np.uint8, spacing=(1.0, 1.0, 1.0)):
-    return LabelVolume(make_grid(values, spacing, dtype), OrganLabelMap.generic(organs))
+    return LabelVolume(make_grid(values, spacing, dtype), organs)
 
 
 def nine_organ_labels(dims):
@@ -651,7 +649,6 @@ def loop_corpus(seed, cases, dims=(6, 5, 4), members=3, organs=2):
     error the attention map cannot flag, so revision leaves a residual.
     """
     rng = np.random.default_rng(seed)
-    labels = OrganLabelMap.generic(organs)
     sets, truths = {}, {}
     for i in range(cases):
         truth = rng.integers(0, organs + 1, size=dims).astype(np.uint8)
@@ -663,13 +660,13 @@ def loop_corpus(seed, cases, dims=(6, 5, 4), members=3, organs=2):
             [
                 np.where(rng.random(dims) < waver_share, rng.random(dims),
                          (shared == code).astype(np.float32))
-                for code in labels.codes
+                for code in range(1, organs + 1)
             ]
             for _ in range(members)
         ]
         cid = f"c{i}"
         sets[cid] = prediction_set(cid, member_channels)
-        truths[cid] = LabelVolume(make_grid(truth, dtype=np.uint8), labels)
+        truths[cid] = LabelVolume(make_grid(truth, dtype=np.uint8), organs)
     return sets, truths
 
 

@@ -722,8 +722,9 @@ class TestSidecarSizes:
         ("per_organ_mm3", {"organ2": 1.0}),
         ("per_organ_mm3", {}),
         ("per_organ_mm3", {"organ1": 1.0, "organ2": 1.0}),
+        ("config", 5),
     ], ids=["total-nan", "total-negative", "total-string", "organs-number", "organ-nan",
-            "organ-negative", "organ-renamed", "organ-missing", "organ-extra"])
+            "organ-negative", "organ-renamed", "organ-missing", "organ-extra", "config-number"])
     def bad(self, request, blob_corpus):
         root, _ = blob_corpus
         out = root / "attention"
@@ -763,6 +764,61 @@ class TestSidecarSizes:
         assert main(["campaign", "init", "--state", str(state), "--attention", str(out)]) == 1
         self.assert_names_file_and_field(capsys, other, field)
         assert not state.exists()
+
+    @pytest.mark.parametrize("command", ["rank", "evaluate", "campaign-init"])
+    def test_sole_sidecar_without_config_fails(self, blob_corpus, capsys, tmp_path, command):
+        root, _ = blob_corpus
+        out = root / "attention"
+        assert main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
+                     "--out", str(out)]) == 0
+        sidecar = out / "case1_sizes.json"
+        sizes = json.loads(sidecar.read_text())
+        del sizes["config"]
+        sidecar.write_text(json.dumps(sizes))
+        for labels in ("pseudo", "truth"):
+            write_labels(root / labels / "case1.nii.gz", np.zeros((6, 6, 6)))
+        target = tmp_path / "out"
+        argv = {
+            "rank": ["rank", "--attention", str(out), "--out", str(target)],
+            "evaluate": ["evaluate", "--attention", str(out), "--pseudo", str(root / "pseudo"),
+                         "--truth", str(root / "truth"), "--out", str(target)],
+            "campaign-init": ["campaign", "init", "--state", str(target),
+                              "--attention", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        self.assert_names_file_and_field(capsys, sidecar, "config")
+        assert not target.exists()
+
+
+class TestOrganNames:
+    """detect, ensemble and evaluate name a corpus's organs by one rule."""
+
+    @pytest.mark.parametrize("organs, names", [
+        (9, ["Spl", "RKid", "LKid", "Gall", "Liv", "Sto", "Aor", "IVC", "Pan"]),
+        (2, ["organ1", "organ2"]),
+    ])
+    def test_every_writer_uses_the_same_names(self, tmp_path, organs, names):
+        rng = np.random.default_rng(organs)
+        dims = (4, 4, 3)
+        models = [str(tmp_path / m) for m in ("m1", "m2")]
+        for model in models:
+            for code in range(1, organs + 1):
+                write_channel(Path(model) / f"c_organ{code}.nii.gz", rng.random(dims))
+        write_labels(tmp_path / "truth" / "c.nii.gz", rng.integers(0, organs + 1, size=dims))
+        att, ens, metrics = tmp_path / "att", tmp_path / "ens", tmp_path / "metrics.json"
+        for argv in (["detect", "--preds", *models, "--out", str(att)],
+                     ["ensemble", "--preds", *models, "--out", str(ens)],
+                     ["evaluate", "--attention", str(att), "--pseudo", str(ens),
+                      "--truth", str(tmp_path / "truth"), "--out", str(metrics)]):
+            assert main(argv) == 0, argv
+        sizes = json.loads((att / "c_sizes.json").read_text())
+        assert sizes["organ_names"] == names
+        assert sorted(sizes["per_organ_mm3"]) == sorted(names)
+        assert json.loads((ens / "c_ensemble.json").read_text())["organ_names"] == names
+        # The metrics JSON is written with sorted keys: it pins the names, not their order.
+        payload = json.loads(metrics.read_text())
+        assert sorted(payload["cases"]["c"]) == sorted(payload["summary"]) == sorted(names)
 
 
 class TestSimulateCli:
@@ -1138,6 +1194,22 @@ class TestMalformedRankingRows:
         assert f"{ranking}: row 2: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("header, field", [
+        ("a,b,c", "rank"),
+        ("x,case_id,total_mm3", "rank"),
+        ("rank,x,total_mm3", "case_id"),
+        ("rank,case_id,x", "total_mm3"),
+    ])
+    def test_select_names_file_and_missing_column(self, tmp_path, capsys, header, field):
+        ranking = tmp_path / "ranking.csv"
+        ranking.write_text(f"{header}\n1,a,5.0\n")
+        out = tmp_path / "selected.csv"
+        assert main(["select", "--ranking", str(ranking), "--threshold-mm3", "0",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{ranking}: " in err and repr(field) in err
+        assert not out.exists()
+
 
 def _no_constant(name):
     raise AssertionError(f"non-standard JSON constant {name}")
@@ -1189,6 +1261,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(usage)
         assert f"unrecognized arguments: {argv[-1]}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--bogus", "rank", "--attention", "a", "--out", "b"],
+        ["--bogus", "rank", "--attention", "a", "--out", "b", "--other"],
+        ["--bogus", "campaign", "status", "--state", "s"],
+    ], ids=["rank", "rank-and-leaf-stray", "campaign-status"])
+    def test_stray_flag_before_the_sub_command_prints_the_root_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: segqa [-h]") and f"usage: segqa {argv[1]}" not in err
+        assert "segqa: error: unrecognized arguments: --bogus\n" in err
 
     def test_malformed_nifti_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.nii"

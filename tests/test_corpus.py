@@ -17,7 +17,7 @@ from segqa.corpus import (
     write_csv,
 )
 from segqa.nifti import open_replacing, read_volume, write_volume
-from segqa.volume import OrganLabelMap, VolumeGrid
+from segqa.volume import VolumeGrid
 
 
 def write_float(path, values):
@@ -115,7 +115,7 @@ class TestManifestOverride:
         found = find_channel_volumes(model)
         assert list(found) == ["caseX"]
         preds = load_prediction_set("caseX", discover_cases([model]).members["caseX"])
-        assert preds.num_organs == 2
+        assert len(preds.organs) == 2
         assert float(preds.organs[1].crops[0][0, 0, 0]) == 0.75
 
 
@@ -149,7 +149,7 @@ class TestManifestOverride:
         )
         assert find_channel_volumes(model) == {"c.1": {1: "sub/./a.nii.gz"}}
         preds = load_prediction_set("c.1", discover_cases([model]).members["c.1"])
-        assert preds.num_organs == 1
+        assert len(preds.organs) == 1
 
 class TestLoad:
     def test_prediction_set_model_ids_from_dir_names(self, tmp_path):
@@ -276,13 +276,13 @@ class TestLoad:
         values[2, 1, 1] = value
         write_volume(VolumeGrid(values), path)
         with pytest.raises(CorpusError, match=r"integer-kind|>= 0|must lie in 0\.\.2") as exc:
-            load_label_volume(path, OrganLabelMap.generic(2))
+            load_label_volume(path, 2)
         assert str(path) in str(exc.value)
 
     def test_int16_labels_load(self, tmp_path):
         path = tmp_path / "case.nii.gz"
         write_volume(VolumeGrid(np.full((2, 2, 2), 2, dtype=np.int16)), path)
-        lv = load_label_volume(path, OrganLabelMap.generic(2))
+        lv = load_label_volume(path, 2)
         assert lv.grid.values.dtype == np.int16 and int(lv.grid.values.sum()) == 16
 
     def test_file_like_read(self, tmp_path):

@@ -7,7 +7,7 @@ from grids import WHOLE, mask_grid
 from segqa.campaign import simulate_revision
 from segqa.detect import DetectionConfig, build_attention
 from segqa.ensemble import ensemble_label
-from segqa.volume import LabelVolume, OrganLabelMap, PredictionSet, VolumeGrid, labels_from_soft
+from segqa.volume import LabelVolume, PredictionSet, VolumeGrid, labels_from_soft
 
 DIMS = (7, 6, 5)
 
@@ -65,7 +65,6 @@ def test_labels_from_soft_of_c_order_channels(rng):
 def test_revised_labels(preds, rng):
     amap = build_attention(preds)
     pseudo = ensemble_label(preds)
-    truth = LabelVolume(decoded(rng.integers(0, 3, DIMS).astype(np.uint8)),
-                        OrganLabelMap.generic(2))
+    truth = LabelVolume(decoded(rng.integers(0, 3, DIMS).astype(np.uint8)), 2)
     revised = simulate_revision(pseudo, truth, amap.union_mask)
     assert x_fastest(revised.grid.values)

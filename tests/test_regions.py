@@ -35,11 +35,11 @@ from segqa.regions import (
     organ_error,
     remove_small_components,
 )
-from segqa.volume import AlignmentError, LabelVolume, OrganLabelMap
+from segqa.volume import AlignmentError, LabelVolume, organ_names
 
 
 def label_volume(values, organs=2):
-    return LabelVolume(make_grid(values, dtype=np.uint8), OrganLabelMap.generic(organs))
+    return LabelVolume(make_grid(values, dtype=np.uint8), organs)
 
 
 class TestConnectedComponents:
@@ -227,9 +227,8 @@ class TestOrganError:
         present = rng.choice(np.arange(organs + 1), size=int(rng.integers(1, 4)))
         a = np.asarray(rng.choice(present, size=dims), np.uint8, order=orders[0])
         b = np.asarray(rng.choice(present, size=dims), truth_dtype, order=orders[1])
-        labels = OrganLabelMap.generic(organs)
-        pseudo, truth = LabelVolume(make_grid(a), labels), LabelVolume(make_grid(b), labels)
-        for code in labels.codes:
+        pseudo, truth = LabelVolume(make_grid(a), organs), LabelVolume(make_grid(b), organs)
+        for code in range(1, organs + 1):
             region, got = organ_error(pseudo, truth, code)
             expected = dsc(mask_grid(a == code), mask_grid(b == code))
             oracle = per_organ_mean_dsc(a, b, [code])
@@ -241,10 +240,8 @@ class TestOrganError:
         """Two boolean masks at a time: no per-voxel histogram, also on mixed orders."""
         dims = (64, 64, 32)
         rng = np.random.default_rng(3)
-        labels = OrganLabelMap.generic(9)
-        a = LabelVolume(make_grid(rng.integers(0, 10, dims).astype(np.uint8)), labels)
-        b = LabelVolume(make_grid(np.asfortranarray(rng.integers(0, 10, dims), np.uint8)),
-                        labels)
+        a = LabelVolume(make_grid(rng.integers(0, 10, dims).astype(np.uint8)), 9)
+        b = LabelVolume(make_grid(np.asfortranarray(rng.integers(0, 10, dims), np.uint8)), 9)
         mean_label_dsc(a, b)  # warm-up outside the measurement
         tracemalloc.start()
         try:
@@ -435,7 +432,7 @@ class TestMeanLabelDsc:
             a, b = (rng.choice(present, size=dims).astype(dt) for dt in dtypes)
             if trial % 10 == 0:
                 a = np.zeros(dims, dtype=dtypes[0])  # all background
-            lv_a, lv_b = (LabelVolume(make_grid(v), OrganLabelMap.generic(organs)) for v in (a, b))
+            lv_a, lv_b = (LabelVolume(make_grid(v), organs) for v in (a, b))
             expected = per_organ_mean_dsc(a, b, range(1, organs + 1))
             assert np.float64(mean_label_dsc(lv_a, lv_b)).tobytes() == np.float64(expected).tobytes()
 
@@ -455,23 +452,21 @@ class TestMeanLabelDsc:
 class TestEvaluateCase:
     def test_dsc_matches_per_organ_dsc_bit_for_bit(self, rng):
         organs = 9
-        labels = OrganLabelMap.generic(organs)
         for _ in range(30):
             dims = tuple(int(d) for d in rng.integers(1, 7, size=3))
             # Few codes per volume leave some organs absent from one or both sides.
             present = rng.choice(np.arange(organs + 1), size=int(rng.integers(1, 5)))
             a, b = (rng.choice(present, size=dims).astype(np.uint8) for _ in range(2))
-            pseudo, truth = (LabelVolume(make_grid(v), labels) for v in (a, b))
+            pseudo, truth = (LabelVolume(make_grid(v), organs) for v in (a, b))
             attention = [mask_grid(rng.random(dims) < 0.3) for _ in range(organs)]
             report = evaluate_case("c", lambda code: attention[code - 1], pseudo, truth)
-            for code, name in labels.entries:
+            for code, name in enumerate(organ_names(organs), start=1):
                 expected = dsc(mask_grid(a == code), mask_grid(b == code))
                 got = report[name].dsc
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_misaligned_mask_names_the_case_and_organ(self):
-        labels = OrganLabelMap.generic(2)
-        pseudo = truth = LabelVolume(make_grid(np.zeros((12, 12, 9), np.uint8)), labels)
+        pseudo = truth = LabelVolume(make_grid(np.zeros((12, 12, 9), np.uint8)), 2)
 
         def read_mask(code):
             return mask_grid(np.zeros((12, 12, 9 if code == 1 else 8), bool))
@@ -480,8 +475,7 @@ class TestEvaluateCase:
             evaluate_case("c7", read_mask, pseudo, truth)
 
     def test_failed_read_names_the_case_and_organ(self):
-        labels = OrganLabelMap.generic(2)
-        pseudo = truth = LabelVolume(make_grid(np.zeros((2, 2, 2), np.uint8)), labels)
+        pseudo = truth = LabelVolume(make_grid(np.zeros((2, 2, 2), np.uint8)), 2)
 
         def read_mask(code):
             raise NiftiFormatError("truncated")
@@ -490,8 +484,7 @@ class TestEvaluateCase:
             evaluate_case("c7", read_mask, pseudo, truth)
 
     def test_non_binary_mask_names_the_case_and_organ(self):
-        labels = OrganLabelMap.generic(2)
-        pseudo = truth = LabelVolume(make_grid(np.zeros((4, 4, 4), np.uint8)), labels)
+        pseudo = truth = LabelVolume(make_grid(np.zeros((4, 4, 4), np.uint8)), 2)
 
         def read_mask(code):
             return make_grid(np.full((4, 4, 4), code, np.uint8))
@@ -501,8 +494,7 @@ class TestEvaluateCase:
 
     def test_previous_mask_released_before_the_next_is_read(self):
         """One organ's attention mask is alive at a time, also while the next is read."""
-        labels = OrganLabelMap.generic(3)
-        pseudo = truth = LabelVolume(make_grid(np.ones((2, 2, 2), np.uint8)), labels)
+        pseudo = truth = LabelVolume(make_grid(np.ones((2, 2, 2), np.uint8)), 3)
         given = []
 
         def remembered(mask):
@@ -513,7 +505,7 @@ class TestEvaluateCase:
             assert [ref() for ref in given if ref() is not None] == []
             return remembered(mask_grid(np.ones((2, 2, 2), bool)))
 
-        assert list(evaluate_case("c", read_mask, pseudo, truth)) == list(labels.names)
+        assert list(evaluate_case("c", read_mask, pseudo, truth)) == list(organ_names(3))
 
 
 defined_or_not = st.none() | st.floats(0, 1)

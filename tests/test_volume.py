@@ -10,15 +10,16 @@ from oracles import sorted_stack_mean_std, stacked_labels
 from segqa.campaign import _labels_as_predictions
 from segqa.ensemble import ensemble_label
 from segqa.volume import (
+    DEFAULT_ORGANS,
     AlignmentError,
     LabelVolume,
-    OrganLabelMap,
     PredictionSet,
     ProbabilityRangeError,
     SoftPrediction,
     VolumeGrid,
     grids_aligned,
     labels_from_soft,
+    organ_names,
     stable_mean,
     stable_mean_std,
     support_box,
@@ -126,22 +127,20 @@ class TestGridsAligned:
 
 
 class TestOrganLabelMap:
-    def test_default_has_nine_organs_in_order(self):
-        m = OrganLabelMap.default()
-        assert m.names == ("Spl", "RKid", "LKid", "Gall", "Liv", "Sto", "Aor", "IVC", "Pan")
-        assert m.codes == tuple(range(1, 10))
+    """The organ map is a function of the organ count: organ_names(n)."""
 
-    def test_codes_must_be_contiguous(self):
-        with pytest.raises(ValueError):
-            OrganLabelMap(((1, "a"), (3, "b")))
+    def test_default_has_nine_organs_in_order(self):
+        assert organ_names(9) == ("Spl", "RKid", "LKid", "Gall", "Liv", "Sto", "Aor", "IVC", "Pan")
 
     def test_generic(self):
-        m = OrganLabelMap.generic(2)
-        assert m.names == ("organ1", "organ2")
+        assert organ_names(2) == ("organ1", "organ2")
 
     def test_channel_count_dispatch(self):
-        assert OrganLabelMap.for_channel_count(9) == OrganLabelMap.default()
-        assert OrganLabelMap.for_channel_count(3) == OrganLabelMap.generic(3)
+        assert organ_names(9) == tuple(name for _, name in DEFAULT_ORGANS)
+        assert organ_names(3) == ("organ1", "organ2", "organ3")
+        assert organ_names(10) == tuple(f"organ{i}" for i in range(1, 11))
+        with pytest.raises(ValueError):
+            organ_names(0)
 
 
 class TestLabelsFromSoft:
@@ -191,7 +190,7 @@ class TestLabelsFromSoft:
 
     def test_default_map_for_nine_channels(self):
         channels = [float_grid(np.zeros((1, 1, 1))) for _ in range(9)]
-        assert labels_from_soft(*whole(channels)).labels == OrganLabelMap.default()
+        assert organ_names(labels_from_soft(*whole(channels)).organs) == organ_names(9)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3))
@@ -235,7 +234,7 @@ class TestPredictionTypes:
 
     def test_label_volume_rejects_out_of_map_codes(self):
         with pytest.raises(ValueError):
-            LabelVolume(make_grid([[[5]]], dtype=np.uint8), OrganLabelMap.generic(2))
+            LabelVolume(make_grid([[[5]]], dtype=np.uint8), 2)
 
 
 # Values that stress an order-stable sum: denormals, 1e-30 next to 1.0,
@@ -274,8 +273,8 @@ class TestStableReductions:
         # Labels recycled as hard members, as later campaign loops do, average
         # back to the same labels.
         values = np.array([[[0, 1], [2, 0]], [[0, 0], [0, 2]]], dtype=np.uint8)
-        lv = LabelVolume(make_grid(values, dtype=np.uint8), OrganLabelMap.generic(3))
-        back = ensemble_label(_labels_as_predictions("c", lv, 1), 0.5, lv.labels)
+        lv = LabelVolume(make_grid(values, dtype=np.uint8), 3)
+        back = ensemble_label(_labels_as_predictions("c", lv, 1), 0.5)
         assert np.array_equal(back.grid.values, values)
 
 
