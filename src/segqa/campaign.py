@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence, get_origin, get_type_hints
+from typing import Callable, Iterator, Sequence, get_origin, get_type_hints
 
 import numpy as np
 from scipy import ndimage
@@ -410,14 +410,12 @@ def run_loop(
 ) -> list[LoopReport]:
     """Run the detect / select / revise loop over a fixed corpus.
 
-    Every loop makes one pass over the cases in case-id order. For each case
-    it loads the truth, builds the attention map and consensus labels, and
-    drops the predictions, the map and the truth before it loads the next
-    case. `load_predictions` is called once per case, in loop 0, and
-    `load_truth` once per case per loop. A case whose attention total exceeds
-    the cutoff is revised by the simulated annotator, then scored against
-    truth. Of a case only its final labels are kept, so across the corpus the
-    loop holds one uint8 volume per case plus one case's channels and truth.
+    Cases run one at a time in case-id order, each through its loops before
+    the next case loads. `load_predictions` and `load_truth` are called once
+    per case, and of a case only its rows outlive it, so the loop holds one
+    case's channels, labels and truth at a time. In each loop a case whose
+    attention total exceeds the cutoff is revised by the simulated annotator,
+    then scored against truth.
 
     Every later loop recycles the previous loop's labels as two identical
     hard members, which exercises the full protocol without a training
@@ -430,43 +428,47 @@ def run_loop(
     policy = policy or LoopPolicy()
     if not case_ids:
         raise CampaignError("run_loop: empty case list")
-    case_ids = sorted(case_ids)
 
-    labels: dict[str, LabelVolume] = {}
-    reports: list[LoopReport] = []
-
-    for loop_index in range(policy.max_loops):
-        results = []
-        for cid in case_ids:
-            if loop_index == 0:
-                preds = load_predictions(cid)
-            else:
-                preds = _labels_as_predictions(cid, labels.pop(cid), loop_index)
-            truth = load_truth(cid)
-            require_aligned(preds.grid, truth.grid, context=f"case {cid!r}: predictions/truth")
+    def case_rows(cid: str) -> Iterator[CaseLoopResult]:
+        # Loop 0 on, up to the budget or the first loop >= 1 that revises
+        # nothing: that loop gives back the labels it was given, so every
+        # later loop would repeat its row.
+        preds, truth = load_predictions(cid), load_truth(cid)
+        require_aligned(preds.grid, truth.grid, context=f"case {cid!r}: predictions/truth")
+        if len(preds.organs) != truth.organs:
+            raise CampaignError(f"case {cid!r}: predictions have {len(preds.organs)} organs, "
+                                f"truth has {truth.organs}")
+        for loop_index in range(policy.max_loops):
+            if loop_index:
+                preds = _labels_as_predictions(cid, final, loop_index)
+                del final
             amap = build_attention(preds, cfg)
             pseudo = ensemble_label(preds, cfg.binarize_threshold)
             attention_mm3, union_mask = amap.total_mm3, amap.union_mask
-            # Dropped before the next load, so one case's channels are alive at a time.
+            # Dropped before the next members are built: one loop's channels at a time.
             del preds, amap
 
             selected = attention_mm3 > policy.size_threshold_mm3
             final = simulate_revision(pseudo, truth, union_mask) if selected else pseudo
-            labels[cid] = final
+            dsc_before = mean_label_dsc(pseudo, truth)
             residual_voxels = int(np.count_nonzero(final.grid.values != truth.grid.values))
-            results.append(
-                CaseLoopResult(
-                    case_id=cid,
-                    attention_mm3=attention_mm3,
-                    selected=selected,
-                    dsc_before=mean_label_dsc(pseudo, truth),
-                    dsc_after=mean_label_dsc(final, truth),
-                    residual_error_mm3=residual_voxels * truth.grid.voxel_volume_mm3,
-                )
+            yield CaseLoopResult(
+                case_id=cid,
+                attention_mm3=attention_mm3,
+                selected=selected,
+                dsc_before=dsc_before,
+                dsc_after=mean_label_dsc(final, truth) if selected else dsc_before,
+                residual_error_mm3=residual_voxels * truth.grid.voxel_volume_mm3,
             )
-            # Only the final labels outlive the case.
-            del truth, pseudo, union_mask
+            del pseudo, union_mask
+            if loop_index and not selected:
+                return
 
+    rows = [list(case_rows(cid)) for cid in sorted(case_ids)]
+    reports: list[LoopReport] = []
+    for loop_index in range(policy.max_loops):
+        # A case that stopped earlier repeats its last row.
+        results = tuple(case[min(loop_index, len(case) - 1)] for case in rows)
         revised_count = sum(r.selected for r in results)
         reports.append(
             LoopReport(
@@ -477,7 +479,7 @@ def run_loop(
                 # The top-ranked case has the largest total: it is confirmed
                 # exactly when no case is above the cutoff.
                 stopped=revised_count == 0,
-                cases=tuple(results),
+                cases=results,
             )
         )
         if revised_count == 0:

@@ -249,9 +249,10 @@ def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
 
     Every sidecar must carry the organ names and detection config of the
     first one, so the cases can share one ranking, report and campaign, and
-    a case id that no other sidecar has. Its sizes must be finite numbers
-    >= 0: ``total_mm3`` one, ``per_organ_mm3`` an object of them keyed by
-    exactly the names in ``organ_names``.
+    a case id that no other sidecar has. ``organ_names`` must name at least
+    one organ. Its sizes must be finite numbers >= 0: ``total_mm3`` one,
+    ``per_organ_mm3`` an object of them keyed by exactly the names in
+    ``organ_names``.
     """
     attention_dir = Path(attention_dir)
     if not attention_dir.is_dir():
@@ -283,8 +284,10 @@ def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
             raise CorpusError(f"{path}: field 'per_organ_mm3' must be an object of finite "
                               f"numbers >= 0, got {per_organ!r}")
         names = sizes[-1].get("organ_names")
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
-                and sorted(per_organ) == sorted(names)):
+        if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+            raise CorpusError(f"{path}: field 'organ_names' must be a non-empty list of "
+                              f"strings, got {names!r}")
+        if sorted(per_organ) != sorted(names):
             raise CorpusError(f"{path}: field 'per_organ_mm3' must have one key per name in "
                               f"'organ_names' {names!r}, got {sorted(per_organ)!r}")
     if not sizes:

@@ -537,8 +537,85 @@ class TestRunLoop:
                            lambda cid: truth_loads.append(cid) or truths[cid])
         assert len(reports) == 2
         assert loop0.lookups == len(sets)
-        assert truth_loads == [ps.case_id for ps in sets] * len(reports)
+        assert truth_loads == [ps.case_id for ps in sets]
         assert reports == run_cases({ps.case_id: ps for ps in sets}, truths)
+
+    def test_earlier_cases_labels_freed_before_the_next_loads(self, monkeypatch):
+        """No consensus or revised labels of a case are alive when the next case loads."""
+        from segqa import campaign
+
+        made = []
+        alive_at_load = []
+
+        def kept(make):
+            def call(*args):
+                result = make(*args)
+                made.append(weakref.ref(result))
+                return result
+
+            return call
+
+        monkeypatch.setattr(campaign, "ensemble_label", kept(campaign.ensemble_label))
+        monkeypatch.setattr(campaign, "simulate_revision", kept(campaign.simulate_revision))
+        sets, truths = three_cases()
+        loop0 = FreshLookups(sets)
+
+        def load(cid):
+            alive_at_load.append(sum(ref() is not None for ref in made))
+            return loop0(cid)
+
+        reports = run_loop([ps.case_id for ps in sets], load, truths.__getitem__)
+        assert reports[0].revised_count > 0 and len(reports) == 2
+        assert alive_at_load == [0] * len(sets)
+
+    def test_unrevised_rows_score_once(self, monkeypatch):
+        """An unrevised case's final labels are its consensus: one Dice, not two."""
+        from segqa import campaign
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mean_label_dsc(*args)
+
+        monkeypatch.setattr(campaign, "mean_label_dsc", counted)
+        sets, truths = three_cases()
+        reports = run_cases({ps.case_id: ps for ps in sets}, truths)
+        rows = [row for report in reports for row in report.cases]
+        assert {row.selected for row in rows} == {True, False}
+        assert len(calls) == sum(1 + row.selected for row in rows)
+        assert all(row.dsc_after == row.dsc_before for row in rows if not row.selected)
+
+    def test_stopped_case_repeats_its_last_row(self, monkeypatch):
+        """A case that stops early is not run again; later reports repeat its row."""
+        from segqa import campaign
+
+        real = campaign._labels_as_predictions
+        hard_members = []
+        sets, truths = three_cases()
+        flagged = sets[0]
+
+        def noisy_c0(cid, label, loop_index):
+            # c0 keeps its noisy loop-0 members, so it is revised in every loop.
+            hard_members.append((cid, loop_index))
+            return flagged if cid == flagged.case_id else real(cid, label, loop_index)
+
+        monkeypatch.setattr(campaign, "_labels_as_predictions", noisy_c0)
+        reports = run_cases({ps.case_id: ps for ps in sets}, truths,
+                            policy=LoopPolicy(max_loops=4))
+        assert [r.revised_count for r in reports] == [1, 1, 1, 1]
+        assert hard_members == [("c0", 1), ("c0", 2), ("c0", 3), ("c1", 1), ("c2", 1)]
+        for later in reports[2:]:
+            assert later.cases[1:] == reports[1].cases[1:]
+            assert later.cases[0] == reports[0].cases[0]
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e9], ids=["revised", "unrevised"])
+    def test_organ_count_mismatch_names_the_case(self, threshold):
+        ps, truth = two_organ_case()
+        truth3 = LabelVolume(truth.grid, 3)
+        with pytest.raises(CampaignError, match=r"case 'case0': .*2 organs.*3"):
+            run_cases({ps.case_id: ps}, {ps.case_id: truth3},
+                      policy=LoopPolicy(size_threshold_mm3=threshold))
 
     def test_each_case_freed_before_the_next_is_looked_up(self, monkeypatch):
         """A case's predictions and attention map are gone when the next case is read."""

@@ -767,13 +767,27 @@ class TestSidecarSizes:
 
     @pytest.mark.parametrize("command", ["rank", "evaluate", "campaign-init"])
     def test_sole_sidecar_without_config_fails(self, blob_corpus, capsys, tmp_path, command):
+        def change(sizes):
+            del sizes["config"]
+
+        self.assert_sole_sidecar_fails(blob_corpus, capsys, tmp_path, command, change, "config")
+
+    @pytest.mark.parametrize("command", ["rank", "evaluate", "campaign-init"])
+    def test_sole_sidecar_with_no_organs_fails(self, blob_corpus, capsys, tmp_path, command):
+        def change(sizes):
+            sizes.update(organ_names=[], per_organ_mm3={})
+
+        self.assert_sole_sidecar_fails(blob_corpus, capsys, tmp_path, command, change,
+                                       "organ_names")
+
+    def assert_sole_sidecar_fails(self, blob_corpus, capsys, tmp_path, command, change, field):
         root, _ = blob_corpus
         out = root / "attention"
         assert main(["detect", "--preds", str(root / "modelA"), str(root / "modelB"),
                      "--out", str(out)]) == 0
         sidecar = out / "case1_sizes.json"
         sizes = json.loads(sidecar.read_text())
-        del sizes["config"]
+        change(sizes)
         sidecar.write_text(json.dumps(sizes))
         for labels in ("pseudo", "truth"):
             write_labels(root / labels / "case1.nii.gz", np.zeros((6, 6, 6)))
@@ -787,7 +801,7 @@ class TestSidecarSizes:
         }[command]
         capsys.readouterr()
         assert main(argv) == 1
-        self.assert_names_file_and_field(capsys, sidecar, "config")
+        self.assert_names_file_and_field(capsys, sidecar, field)
         assert not target.exists()
 
 
@@ -933,8 +947,8 @@ class TestSimulateCli:
         report = tmp_path / "report.json"
         assert main(["simulate", "--preds", *models, "--truth", str(root / "truth"),
                      "--out", str(report)]) == 0
-        loops = len(json.loads(report.read_text())["loops"])
-        assert alive_at_load == [0] * (6 * loops)
+        assert len(json.loads(report.read_text())["loops"]) == 2
+        assert alive_at_load == [0] * 6
 
 
 class TestMisalignedTruth:
