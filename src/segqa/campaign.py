@@ -33,7 +33,14 @@ from .detect import DetectionConfig, build_attention
 from .ensemble import ensemble_label
 from .nifti import open_replacing
 from .regions import mean_label_dsc
-from .volume import EMPTY_BOX, LabelVolume, PredictionSet, VolumeGrid, require_aligned
+from .volume import (
+    EMPTY_BOX,
+    LabelVolume,
+    PredictionSet,
+    SoftPrediction,
+    VolumeGrid,
+    require_aligned,
+)
 
 STATE_VERSION = 1
 STATUSES = ("pending", "revised", "confirmed")
@@ -396,9 +403,9 @@ def _labels_as_predictions(case_id: str, label: LabelVolume, loop_index: int) ->
     for code, box in enumerate(ndimage.find_objects(values, label.organs), start=1):
         box = box or EMPTY_BOX
         crop = (values[box] == code).astype(np.float32)
-        organs.append((box, (crop, crop)))
+        organs.append(SoftPrediction(box, (crop, crop)))
     model_ids = [f"revised-loop{loop_index}-m{k}" for k in range(2)]
-    return PredictionSet.from_crops(case_id, model_ids, label.grid, organs)
+    return PredictionSet(case_id, model_ids, label.grid, organs)
 
 
 def run_loop(

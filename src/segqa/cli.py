@@ -204,7 +204,9 @@ def _load_mask(path: str | Path, organ: int | None) -> VolumeGrid:
 
 
 def cmd_dsc(args: argparse.Namespace) -> int:
-    value = regions.dsc(_load_mask(args.a, args.organ), _load_mask(args.b, args.organ))
+    a, b = _load_mask(args.a, args.organ), _load_mask(args.b, args.organ)
+    require_aligned(a, b, context=f"masks {args.a} and {args.b}")
+    value = regions.dsc(a, b)
     print(repr(value))
     return 0
 
@@ -216,6 +218,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     masks = []
     for path in args.inputs:
         masks.append(_load_mask(path, args.organ))
+        require_aligned(masks[0], masks[-1], context=f"masks {args.inputs[0]} and {path}")
         name = Path(path).name
         match = corpus.LABEL_RE.match(name)
         names.append(match.group("case") if match else name)

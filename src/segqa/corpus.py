@@ -9,7 +9,10 @@ overrides the naming convention:
 
 Each command lists every model directory once: ``discover_cases`` checks the
 listings against each other and returns one ``CorpusIndex`` that hands every
-case its own channel paths, so loading a case reads only its files.
+case its own channel paths, so loading a case reads only its files. Two files
+for one input (``c1_organ1.nii`` beside ``c1_organ1.nii.gz``, ``organ01``
+beside ``organ1``, manifest codes ``"1"`` and ``"01"``, ``c1.nii`` beside
+``c1.nii.gz``) are an error naming both, as is a model directory given twice.
 
 A case id, from a file name, a manifest or a sizes sidecar, is a plain name:
 non-empty, with no ``/``, ``\\`` or ``..``.
@@ -34,14 +37,7 @@ import numpy as np
 
 from .detect import AttentionMap, DetectionConfig
 from .nifti import open_replacing, read_volume, write_volume
-from .volume import (
-    ChannelAlignmentError,
-    LabelVolume,
-    PredictionSet,
-    ProbabilityRangeError,
-    VolumeGrid,
-    organ_names,
-)
+from .volume import ChannelError, LabelVolume, PredictionSet, VolumeGrid, organ_names
 
 CHANNEL_RE = re.compile(r"^(?P<case>.+)_organ(?P<code>\d+)\.nii(\.gz)?$")
 LABEL_RE = re.compile(r"^(?P<case>.+)\.nii(\.gz)?$")
@@ -89,6 +85,7 @@ def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, str]]:
         out: dict[str, dict[int, str]] = {}
         for case_id, channels in cases.items():
             _check_case_id(case_id, manifest)
+            by_code = out[case_id] = {}
             for code, rel in channels.items():
                 if not code.isdecimal() or not isinstance(rel, str):
                     raise CorpusError(f"{manifest}: case {case_id!r}: expected {MANIFEST_SHAPE}, "
@@ -96,7 +93,11 @@ def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, str]]:
                 if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == "..":
                     raise CorpusError(f"{manifest}: case {case_id!r}, organ {code}: channel path "
                                       f"{rel!r} is absolute or leaves {model_dir}")
-            out[case_id] = {int(code): rel for code, rel in channels.items()}
+                organ = int(code)
+                if organ in by_code:  # "1" and "01"
+                    raise CorpusError(f"{manifest}: case {case_id!r}, organ {organ} has two "
+                                      f"files: {by_code[organ]} and {rel}")
+                by_code[organ] = rel
         if not out:
             raise CorpusError(f"{manifest}: manifest lists no cases")
         return out
@@ -108,9 +109,14 @@ def find_channel_volumes(model_dir: str | Path) -> dict[str, dict[int, str]]:
     for name in sorted(os.listdir(model_dir)):
         m = CHANNEL_RE.match(name)
         if m:
-            if m.group("case") not in found:
-                _check_case_id(m.group("case"), model_dir / name)
-            found.setdefault(m.group("case"), {})[int(m.group("code"))] = name
+            case_id, code = m.group("case"), int(m.group("code"))
+            if case_id not in found:
+                _check_case_id(case_id, model_dir / name)
+            by_code = found.setdefault(case_id, {})
+            if code in by_code:  # c1_organ1.nii and c1_organ1.nii.gz, or organ01 and organ1
+                raise CorpusError(f"{model_dir}: case {case_id!r}, organ {code} has two files: "
+                                  f"{by_code[code]} and {name}")
+            by_code[code] = name
     if not found:
         raise CorpusError(f"{model_dir}: no *_organ<code>.nii[.gz] channel files found")
     return found
@@ -127,9 +133,12 @@ def find_label_volumes(directory: str | Path) -> dict[str, Path]:
             continue
         m = LABEL_RE.match(name)
         if m:
-            path = directory / name
-            _check_case_id(m.group("case"), path)
-            found[m.group("case")] = path
+            case_id, path = m.group("case"), directory / name
+            _check_case_id(case_id, path)
+            if case_id in found:  # c1.nii and c1.nii.gz
+                raise CorpusError(f"case {case_id!r} has two label files: "
+                                  f"{found[case_id]} and {path}")
+            found[case_id] = path
     if not found:
         raise CorpusError(f"{directory}: no *.nii[.gz] label files found")
     return found
@@ -139,6 +148,13 @@ def discover_cases(model_dirs: Sequence[str | Path]) -> CorpusIndex:
     """List each model directory once and index every case's channels per model."""
     if not model_dirs:
         raise CorpusError("need at least one model directory")
+    # One model counted twice would agree with itself wherever it is wrong.
+    resolved: dict[Path, str | Path] = {}
+    for model_dir in model_dirs:
+        key = Path(model_dir).resolve()
+        if key in resolved:
+            raise CorpusError(f"model directory given twice: {resolved[key]} and {model_dir}")
+        resolved[key] = model_dir
     per_model = [find_channel_volumes(d) for d in model_dirs]
     for model_dir, channels in zip(model_dirs, per_model):
         if channels.keys() != per_model[0].keys():
@@ -182,7 +198,7 @@ def load_prediction_set(case_id: str, members: CaseChannels) -> PredictionSet:
             [d.name for d in dirs],
             ([read_volume(d / name) for d, name in zip(dirs, names)] for names in by_organ),
         )
-    except (ProbabilityRangeError, ChannelAlignmentError) as exc:
+    except ChannelError as exc:
         model_dir, names = members[exc.member]
         raise CorpusError(f"case {case_id!r}: {model_dir / names[exc.code - 1]}: {exc}") from exc
 

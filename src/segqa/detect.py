@@ -132,9 +132,9 @@ def build_attention(preds: PredictionSet, cfg: DetectionConfig | None = None) ->
     organ's mean passes the binarize threshold.
     """
     cfg = cfg or DetectionConfig()
-    if preds.num_members < 2:
+    if len(preds.model_ids) < 2:
         raise InsufficientMembersError(
-            f"case {preds.case_id!r}: attention needs >= 2 members, got {preds.num_members}"
+            f"case {preds.case_id!r}: attention needs >= 2 members, got {len(preds.model_ids)}"
         )
     grid = preds.grid
     dims = grid.dims

@@ -35,36 +35,25 @@ class AlignmentError(ValueError):
     """Two volumes that must share a voxel lattice do not."""
 
 
-class ProbabilityRangeError(ValueError):
-    """A soft channel holds a value outside [0, 1], or NaN.
+class ChannelError(ValueError):
+    """One member's soft channel of one organ breaks the rule for soft channels.
 
+    The rule: float32, on the case's voxel lattice, finite and in [0, 1].
     ``member`` is the index of the model and ``code`` the organ.
     """
 
-    def __init__(self, model_id: str, member: int, code: int, lo: float, hi: float):
-        super().__init__(
-            f"model {model_id!r}, organ {code}: probabilities must be finite and in "
-            f"[0, 1], got range {lo}..{hi}"
-        )
+    def __init__(self, model_id: str, member: int, code: int, problem: str):
+        super().__init__(f"model {model_id!r}, organ {code}: {problem}")
         self.member = member
         self.code = code
 
 
-class ChannelAlignmentError(AlignmentError):
-    """A member's soft channel is not on its case's voxel lattice.
+class ProbabilityRangeError(ChannelError):
+    """A soft channel holds a value outside [0, 1], or NaN."""
 
-    ``member`` is the index of the model and ``code`` the organ.
-    """
 
-    def __init__(
-        self, model_id: str, member: int, code: int, case: VolumeGrid, channel: VolumeGrid
-    ):
-        super().__init__(
-            f"model {model_id!r}, organ {code}: channel is not grid-aligned with the "
-            f"case's first channel: {case.dims}/{case.spacing} vs {channel.dims}/{channel.spacing}"
-        )
-        self.member = member
-        self.code = code
+class ChannelAlignmentError(ChannelError, AlignmentError):
+    """A member's soft channel is not on its case's voxel lattice."""
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -201,63 +190,58 @@ class SoftPrediction:
     """One organ's probabilities from every member model of a case, cropped to one box.
 
     ``box`` is the organ's support box (:func:`support_box`): every member is
-    0 or -0.0 outside it. ``crops[k]`` holds model ``model_ids[k]``'s float32
-    values inside the box. The checks run on the crops, which is exact: every
-    voxel outside the box is a zero, and a zero passes them.
+    0 or -0.0 outside it. ``crops[k]`` holds member k's values inside the box.
     """
 
-    model_ids: tuple[str, ...]
-    code: int
     box: Box
     crops: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if len(self.crops) != len(self.model_ids):
-            raise AlignmentError(
-                f"organ {self.code}: {len(self.crops)} member channels for "
-                f"{len(self.model_ids)} models"
-            )
         object.__setattr__(self, "crops", tuple(_read_only(c) for c in self.crops))
-        for k, crop in enumerate(self.crops):
-            if crop.dtype != np.dtype(np.float32):
-                raise TypeError(f"soft channels must be float32, got {crop.dtype}")
-            lo, hi = (float(crop.min()), float(crop.max())) if crop.size else (0.0, 0.0)
-            if not (0.0 <= lo and hi <= 1.0):  # also false for NaN
-                raise ProbabilityRangeError(self.model_ids[k], k, self.code, lo, hi)
 
 
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
     """K models' soft predictions for one case, as one SoftPrediction per organ.
 
-    ``organs[c]`` is organ code c + 1. ``grid`` carries the case geometry
-    without its voxels: its values are one zero broadcast to the case dims.
-    Build it with :meth:`from_channels`, or :meth:`from_crops` once cropped.
+    ``model_ids[k]`` names member k of every organ, and ``organs[c]`` is organ
+    code c + 1. ``grid`` keeps only the case geometry: its values are one zero
+    broadcast to the case dims. Every crop must be float32, finite and in
+    [0, 1]; a breach raises :class:`ChannelError` naming the model and organ.
+    The checks run on the crops, which is exact: every voxel outside a box is
+    a zero, and a zero passes them.
     """
 
     case_id: str
+    model_ids: tuple[str, ...]
     grid: VolumeGrid
     organs: tuple[SoftPrediction, ...]
 
     def __post_init__(self) -> None:
+        model_ids = tuple(self.model_ids)
+        object.__setattr__(self, "model_ids", model_ids)
         object.__setattr__(self, "organs", tuple(self.organs))
+        if not model_ids:
+            raise ValueError(f"case {self.case_id!r}: need at least one member prediction")
         if not self.organs:
             raise ValueError(f"case {self.case_id!r}: need at least one organ channel")
-        if any(o.model_ids != self.model_ids for o in self.organs[1:]):
-            raise AlignmentError(f"case {self.case_id!r}: organs disagree on the member models")
-
-    @classmethod
-    def from_crops(
-        cls,
-        case_id: str,
-        model_ids: Sequence[str],
-        grid: VolumeGrid,
-        organs: Iterable[tuple[Box, Sequence[np.ndarray]]],
-    ) -> "PredictionSet":
-        """Each organ's box and member crops, in code order, on the geometry of ``grid``."""
-        model_ids = tuple(model_ids)
-        organs = [SoftPrediction(model_ids, c, *o) for c, o in enumerate(organs, start=1)]
-        return cls(case_id, _geometry(grid), tuple(organs))
+        dims = self.grid.dims
+        object.__setattr__(self, "grid", self.grid.with_values(np.broadcast_to(np.uint8(0), dims)))
+        for code, organ in enumerate(self.organs, start=1):
+            if len(organ.crops) != len(model_ids):
+                raise AlignmentError(f"case {self.case_id!r}, organ {code}: {len(organ.crops)} "
+                                     f"member channels for {len(model_ids)} models")
+            for k, crop in enumerate(organ.crops):
+                if crop.dtype != np.dtype(np.float32):
+                    raise ChannelError(model_ids[k], k, code,
+                                       f"soft channels must be float32, got {crop.dtype}")
+                lo, hi = (float(crop.min()), float(crop.max())) if crop.size else (0.0, 0.0)
+                if crop.shape != dims:  # report the channel's range: the zeros around the box count
+                    lo, hi = min(lo, 0.0), max(hi, 0.0)
+                if not (0.0 <= lo and hi <= 1.0):  # also false for NaN
+                    raise ProbabilityRangeError(
+                        model_ids[k], k, code,
+                        f"probabilities must be finite and in [0, 1], got range {lo}..{hi}")
 
     @classmethod
     def from_channels(
@@ -275,58 +259,30 @@ class PredictionSet:
         crops are the channels themselves: a case with no exact zeros is held
         as all of its dense channels, and no smaller.
         """
-        model_ids = tuple(model_ids)
-        if not model_ids:
-            raise ValueError(f"case {case_id!r}: need at least one member prediction")
         grid = None
         cropped = []
-        # No enumerate(): its reused result tuple would keep the last organ's
-        # dense channels alive while the next organ is drawn.
+        # No enumerate(), and the channels are looped over in comprehensions
+        # only: a loop's variables would keep dense channels alive while the
+        # next organ is drawn.
         for channels in organs:
             if grid is None:
-                grid = _geometry(channels[0])
-            cropped.append(_crop_organ(grid, model_ids, len(cropped) + 1, channels))
-            del channels
-        return cls(case_id, grid, tuple(cropped))
-
-    @property
-    def model_ids(self) -> tuple[str, ...]:
-        return self.organs[0].model_ids
-
-    @property
-    def num_members(self) -> int:
-        return len(self.model_ids)
-
-
-def _geometry(grid: VolumeGrid) -> VolumeGrid:
-    """``grid``'s geometry without its voxels: one zero broadcast to its dims."""
-    return grid.with_values(np.broadcast_to(np.uint8(0), grid.dims))
-
-
-def _crop_organ(
-    grid: VolumeGrid, model_ids: tuple[str, ...], code: int, channels: Sequence[VolumeGrid]
-) -> SoftPrediction:
-    """One organ's members' dense channels on ``grid``, cropped to their support box."""
-    if len(channels) != len(model_ids):
-        raise AlignmentError(
-            f"organ {code}: {len(channels)} member channels for {len(model_ids)} models"
-        )
-    for k, ch in enumerate(channels):
-        if not grids_aligned(grid, ch):
-            raise ChannelAlignmentError(model_ids[k], k, code, grid, ch)
-    box = support_box([ch.values for ch in channels])
-    # A box short of the volume is copied so the dense channel can be freed. A
-    # whole-volume box (channels with no exact zero, say) keeps the decoded
-    # arrays themselves: a copy would only hold each channel twice.
-    whole = all(s.stop - s.start == n for s, n in zip(box, grid.dims))
-    crops = [ch.values[box] if whole else ch.values[box].copy(order="F") for ch in channels]
-    try:
-        return SoftPrediction(model_ids, code, box, crops)
-    except ProbabilityRangeError as exc:
-        # Report the whole channel's range; the crop's leaves out the zeros around it.
-        values = channels[exc.member].values
-        lo, hi = float(values.min()), float(values.max())
-        raise ProbabilityRangeError(model_ids[exc.member], exc.member, code, lo, hi) from None
+                grid = channels[0].with_values(np.broadcast_to(np.uint8(0), channels[0].dims))
+            aligned = [grids_aligned(grid, ch) for _, ch in zip(model_ids, channels)]
+            if not all(aligned):
+                k = aligned.index(False)
+                raise ChannelAlignmentError(
+                    model_ids[k], k, len(cropped) + 1,
+                    f"channel is not grid-aligned with the case's first channel: "
+                    f"{grid.dims}/{grid.spacing} vs {channels[k].dims}/{channels[k].spacing}")
+            box = support_box([ch.values for ch in channels])
+            # A box short of the volume is copied so the dense channel can be
+            # freed. A whole-volume box (channels with no exact zero, say) keeps
+            # the decoded arrays themselves: a copy would only hold each channel twice.
+            whole = all(s.stop - s.start == n for s, n in zip(box, grid.dims))
+            crops = [ch.values[box] if whole else ch.values[box].copy(order="F") for ch in channels]
+            cropped.append(SoftPrediction(box, crops))
+            del channels, crops
+        return cls(case_id, model_ids, grid, cropped)
 
 
 def _require_binary(mask: VolumeGrid, op: str) -> np.ndarray:

@@ -329,7 +329,7 @@ def two_pass_run_loop(loop0, truths, cfg=None, policy=None):
         for cid in case_ids:
             if loop_index == 0:
                 preds = loop0[cid]
-                member_count = member_count or preds.num_members
+                member_count = member_count or len(preds.model_ids)
             else:
                 preds = labels_as_predictions(cid, revised.pop(cid), member_count, loop_index)
             amap = build_attention(preds, cfg)

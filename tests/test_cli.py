@@ -231,6 +231,35 @@ class TestDetectJobs:
         assert len(list((tmp_path / "att").glob("*_sizes.json"))) == 6
 
 
+class TestIntegerChannels:
+    """A channel file of an integer kind breaks the float32 rule for soft channels."""
+
+    @pytest.mark.parametrize("dtype", ["int16", "uint8"])
+    @pytest.mark.parametrize("command", ["detect", "detect --jobs 2", "ensemble", "simulate"])
+    def test_exits_1_naming_case_file_model_and_organ(self, tmp_path, capsys, command, dtype):
+        values = np.zeros((4, 4, 4))
+        values[1:3, 1:3, 1:3] = 1
+        # Two cases, so that --jobs 2 starts a pool; the second has the bad file.
+        for case in ("c0", "c1"):
+            write_labels(tmp_path / "truth" / f"{case}.nii.gz", values)
+            for model in ("m1", "m2"):
+                for code in (1, 2):
+                    kind = dtype if (case, model, code) == ("c1", "m2", 2) else np.float32
+                    path = tmp_path / model / f"{case}_organ{code}.nii.gz"
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    write_volume(VolumeGrid(values.astype(kind)), path)
+        name, *flags = command.split()
+        if name == "simulate":
+            flags += ["--truth", str(tmp_path / "truth"), "--out", str(tmp_path / "report.json")]
+        else:
+            flags += ["--out", str(tmp_path / "out")]
+        assert main([name, "--preds", str(tmp_path / "m1"), str(tmp_path / "m2"), *flags]) == 1
+        bad = tmp_path / "m2" / "c1_organ2.nii.gz"
+        assert capsys.readouterr().err == (
+            f"segqa: error: case 'c1': {bad}: model 'm2', organ 2: "
+            f"soft channels must be float32, got {dtype}\n")
+
+
 class TestSupportBoxEndToEnd:
     def test_zero_background_gives_the_bytes_of_full_support(self, tmp_path):
         """Outputs equal those of a copy with no exact zero, whose support box is the volume."""
@@ -415,6 +444,26 @@ class TestDscAndMatrix:
             rows = list(csv.reader(f))
         assert rows[0] == ["", "case", "case", "a.b", "x.img"]
         assert [r[0] for r in rows[1:]] == ["case", "case", "a.b", "x.img"]
+
+    def test_dsc_names_both_misaligned_files(self, tmp_path, capsys):
+        pa, pb = tmp_path / "a.nii.gz", tmp_path / "b.nii.gz"
+        write_labels(pa, np.ones((4, 4, 4)))
+        write_labels(pb, np.ones((4, 4, 5)))
+        assert main(["dsc", "--a", str(pa), "--b", str(pb)]) == 1
+        assert capsys.readouterr().err == (
+            f"segqa: error: masks {pa} and {pb} are not grid-aligned: "
+            f"(4, 4, 4)/(1.0, 1.0, 1.0) vs (4, 4, 5)/(1.0, 1.0, 1.0)\n")
+
+    def test_matrix_names_both_misaligned_files(self, tmp_path, capsys):
+        paths = [tmp_path / f"{name}.nii.gz" for name in "xyz"]
+        for path, dims in zip(paths, [(3, 3, 3), (3, 3, 3), (3, 2, 3)]):
+            write_labels(path, np.ones(dims))
+        out = tmp_path / "matrix.csv"
+        assert main(["matrix", "--inputs", *map(str, paths), "--organ", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"masks {paths[0]} and {paths[2]} are not grid-aligned" in err
+        assert not out.exists()
 
 
 class TestEnsembleCli:

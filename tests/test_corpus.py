@@ -59,6 +59,46 @@ class TestDiscovery:
             find_channel_volumes(tmp_path / "m")
 
 
+class TestTwoFilesForOneInput:
+    """Discovery refuses two files for one input and names both; neither is picked."""
+
+    @pytest.mark.parametrize("names", [("c1_organ1.nii", "c1_organ1.nii.gz"),
+                                       ("c1_organ01.nii.gz", "c1_organ1.nii.gz")],
+                             ids=["nii-and-gz", "organ01-and-organ1"])
+    def test_channel_files(self, tmp_path, names):
+        for name in names:
+            write_float(tmp_path / "m" / name, np.zeros((2, 2, 2)))
+        with pytest.raises(CorpusError, match=r"case 'c1', organ 1 has two files") as exc:
+            find_channel_volumes(tmp_path / "m")
+        assert all(name in str(exc.value) for name in names)
+
+    def test_manifest_codes(self, tmp_path):
+        model = tmp_path / "m"
+        for name in ("a.nii.gz", "b.nii.gz"):
+            write_float(model / name, np.zeros((2, 2, 2)))
+        (model / "manifest.json").write_text(
+            json.dumps({"cases": {"c1": {"1": "a.nii.gz", "01": "b.nii.gz"}}}))
+        with pytest.raises(CorpusError, match=r"case 'c1', organ 1 has two files: "
+                                              r"a\.nii\.gz and b\.nii\.gz$"):
+            find_channel_volumes(model)
+
+    def test_label_files(self, tmp_path):
+        grid = VolumeGrid(np.zeros((2, 2, 2), dtype=np.uint8))
+        for name in ("c1.nii", "c1.nii.gz"):
+            write_volume(grid, tmp_path / name)
+        with pytest.raises(CorpusError) as exc:
+            find_label_volumes(tmp_path)
+        assert str(exc.value) == (f"case 'c1' has two label files: {tmp_path / 'c1.nii'} and "
+                                  f"{tmp_path / 'c1.nii.gz'}")
+
+    def test_model_directory_given_twice(self, tmp_path):
+        write_float(tmp_path / "one" / "c1_organ1.nii.gz", np.zeros((2, 2, 2)))
+        again = tmp_path / "one" / ".." / "one"
+        with pytest.raises(CorpusError) as exc:
+            discover_cases([tmp_path / "one", again])
+        assert str(exc.value) == f"model directory given twice: {tmp_path / 'one'} and {again}"
+
+
 class TestListingOrder:
     """Listings sort names as str, in the order sorted(Path.iterdir()) gives them."""
 
@@ -67,10 +107,10 @@ class TestListingOrder:
     def test_channel_order_unchanged(self, tmp_path):
         from segqa.corpus import CHANNEL_RE
 
-        for case in self.NAMES:
+        # One file per channel: two files for one channel are refused.
+        for i, case in enumerate(self.NAMES):
             for code in (10, 2, 1):
-                for suffix in (".nii.gz", ".nii"):  # both exist: the later name wins
-                    (tmp_path / f"{case}_organ{code}{suffix}").touch()
+                (tmp_path / f"{case}_organ{code}{('.nii.gz', '.nii')[i % 2]}").touch()
         expected = {}
         for path in sorted(tmp_path.iterdir()):
             m = CHANNEL_RE.match(path.name)
@@ -85,8 +125,8 @@ class TestListingOrder:
     def test_label_order_unchanged(self, tmp_path):
         from segqa.corpus import CHANNEL_RE, LABEL_RE
 
-        for case in self.NAMES:
-            for name in (f"{case}.nii", f"{case}.nii.gz", f"{case}_organ1.nii.gz"):
+        for i, case in enumerate(self.NAMES):
+            for name in (f"{case}{('.nii', '.nii.gz')[i % 2]}", f"{case}_organ1.nii.gz"):
                 (tmp_path / name).touch()
         expected = {}
         for path in sorted(tmp_path.iterdir()):

@@ -12,6 +12,7 @@ from segqa.ensemble import ensemble_label
 from segqa.volume import (
     DEFAULT_ORGANS,
     AlignmentError,
+    ChannelError,
     LabelVolume,
     PredictionSet,
     ProbabilityRangeError,
@@ -206,8 +207,9 @@ class TestLabelsFromSoft:
 
 class TestPredictionTypes:
     def test_probabilities_validated(self):
-        with pytest.raises(ValueError):
-            SoftPrediction(("m",), 1, WHOLE, (float_grid([[[1.5]]]).values,))
+        grid = float_grid([[[1.5]]])
+        with pytest.raises(ProbabilityRangeError, match=r"model 'm', organ 1\b"):
+            PredictionSet("c", ("m",), grid, [SoftPrediction(WHOLE, (grid.values,))])
 
     def test_nan_probabilities_rejected_with_model_and_organ(self):
         ok = float_grid([[[0.5]]])
@@ -220,6 +222,15 @@ class TestPredictionTypes:
         values[1, 1, 1] = 1.5
         with pytest.raises(ProbabilityRangeError, match=r"range 0\.0\.\.1\.5$"):
             PredictionSet.from_channels("c", ["m"], [[float_grid(values)]])
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint8])
+    def test_integer_channel_raises_channel_error(self, dtype):
+        ok = float_grid(np.zeros((2, 2, 2)))
+        bad = make_grid(np.ones((2, 2, 2)), dtype=dtype)
+        with pytest.raises(ChannelError, match=r"^model 'm2', organ 2: soft channels must be "
+                                               rf"float32, got {np.dtype(dtype)}$") as exc:
+            PredictionSet.from_channels("c", ["m1", "m2"], [[ok, ok], [ok, bad]])
+        assert (exc.value.member, exc.value.code) == (1, 2)
 
     def test_member_alignment_validated(self):
         a = float_grid(np.zeros((2, 1, 1)))
