@@ -80,32 +80,29 @@ class BadDimensionError(NiftiFormatError):
     """The dim field does not describe a plain 3D volume."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NiftiHeader:
-    """Parsed subset of the 348-byte NIfTI-1 header used by this toolkit."""
+    """What the reader takes from the 348-byte NIfTI-1 header: voxel layout and geometry."""
 
-    dim: tuple[int, ...]
-    datatype: int
-    bitpix: int
-    pixdim: tuple[float, ...]
+    shape: tuple[int, int, int]
+    dtype: np.dtype
+    spacing: tuple[float, float, float]
+    affine: np.ndarray
     vox_offset: int
     scl_slope: float
     scl_inter: float
-    qform_code: int
-    sform_code: int
-    srow: tuple[tuple[float, float, float, float], ...]
 
     @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.dim[1], self.dim[2], self.dim[3]
-
-    @property
-    def spacing(self) -> tuple[float, float, float]:
-        return self.pixdim[1], self.pixdim[2], self.pixdim[3]
+    def data_end(self) -> int:
+        """Offset of the first byte past the voxels."""
+        return self.vox_offset + math.prod(self.shape) * self.dtype.itemsize
 
 
 def parse_header(buf: bytes) -> NiftiHeader:
-    """Validate and extract the header fields from the first 348 bytes."""
+    """Validate the first 348 bytes and decide the voxel layout and the affine.
+
+    The affine is the sform when ``sform_code > 0``, else the pixdim-scaled identity.
+    """
     if len(buf) < HEADER_SIZE:
         raise TruncatedFileError(
             f"header: need {HEADER_SIZE} bytes, stream has {len(buf)}"
@@ -149,28 +146,27 @@ def parse_header(buf: bytes) -> NiftiHeader:
     raw_offset = fields[30]
     if not math.isfinite(raw_offset) or raw_offset < HEADER_SIZE:
         raise NiftiFormatError(f"vox_offset: must be >= {HEADER_SIZE}, got {raw_offset}")
-    vox_offset = int(raw_offset)
 
     scl_slope, scl_inter = fields[31], fields[32]
     if not (math.isfinite(scl_slope) and math.isfinite(scl_inter)):
         raise NiftiFormatError(f"scl_slope/scl_inter: must be finite, got {scl_slope}/{scl_inter}")
 
-    sform_code = int(fields[45])
-    srow = (tuple(fields[52:56]), tuple(fields[56:60]), tuple(fields[60:64]))
-    if sform_code > 0 and not all(math.isfinite(v) for row in srow for v in row):
-        raise NiftiFormatError(f"srow: sform rows must be finite, got {srow}")
+    dx, dy, dz = pixdim[1:4]
+    if fields[45] > 0:  # sform_code
+        rows = (fields[52:56], fields[56:60], fields[60:64])
+        if not all(math.isfinite(v) for row in rows for v in row):
+            raise NiftiFormatError(f"srow: sform rows must be finite, got {rows}")
+    else:
+        rows = ((dx, 0.0, 0.0, 0.0), (0.0, dy, 0.0, 0.0), (0.0, 0.0, dz, 0.0))
 
     return NiftiHeader(
-        dim=tuple(int(d) for d in dim),
-        datatype=int(datatype),
-        bitpix=int(bitpix),
-        pixdim=tuple(float(p) for p in pixdim),
-        vox_offset=vox_offset,
-        scl_slope=float(scl_slope),
-        scl_inter=float(scl_inter),
-        qform_code=int(fields[44]),
-        sform_code=sform_code,
-        srow=srow,
+        shape=dim[1:4],
+        dtype=_DTYPES[datatype],
+        spacing=pixdim[1:4],
+        affine=np.array([*rows, (0.0, 0.0, 0.0, 1.0)], dtype=np.float64),
+        vox_offset=int(raw_offset),
+        scl_slope=scl_slope,
+        scl_inter=scl_inter,
     )
 
 
@@ -286,10 +282,10 @@ def _read_source(source: Source) -> tuple[bytes, str]:
 def read_volume(source: Source) -> VolumeGrid:
     """Read a NIfTI-1 volume (optionally gzipped) into a VolumeGrid.
 
-    Spacing comes from pixdim, orientation from the sform rows when set and
-    a spacing-scaled identity otherwise. Slope/intercept scaling is applied
-    at read time; files written by this module always carry slope 1 and
-    intercept 0 so integer volumes round-trip exactly.
+    Spacing comes from pixdim and the affine from ``parse_header``: the
+    sform when set, else a spacing-scaled identity. Slope/intercept scaling is
+    applied at read time; files written by this module always carry slope 1
+    and intercept 0 so integer volumes round-trip exactly.
     """
     raw, name = _read_source(source)
     try:
@@ -304,40 +300,27 @@ def _decode(raw: bytes) -> VolumeGrid:
     if raw[:2] == GZIP_MAGIC:
         # No name keeps the decompressor, so its copy of the file dies here.
         header = parse_header(_gunzip_upto(raw, VOX_OFFSET)[0])
-        needed = header.vox_offset + _payload_bytes(header)
-        buf = _libdeflate_gunzip(raw, needed)
+        buf = _libdeflate_gunzip(raw, header.data_end)
         if buf is None:
-            buf = _gunzip_member(raw, needed)
+            buf = _gunzip_member(raw, header.data_end)
     else:
         buf = raw
         header = parse_header(buf)
-        needed = header.vox_offset + _payload_bytes(header)
 
-    if len(buf) < needed:
+    if len(buf) < header.data_end:
         raise TruncatedFileError(
-            f"data section: need {needed - header.vox_offset} bytes at offset "
+            f"data section: need {header.data_end - header.vox_offset} bytes at offset "
             f"{header.vox_offset}, have {max(0, len(buf) - header.vox_offset)}"
         )
 
-    nx, ny, nz = header.shape
-    dtype = _DTYPES[header.datatype]
-    flat = np.frombuffer(buf, dtype=dtype, count=nx * ny * nz, offset=header.vox_offset)
-    values = flat.reshape((nx, ny, nz), order="F")
+    flat = np.frombuffer(buf, dtype=header.dtype, count=math.prod(header.shape),
+                         offset=header.vox_offset)
+    values = flat.reshape(header.shape, order="F")
 
     slope, inter = header.scl_slope, header.scl_inter
     if slope != 0.0 and (slope != 1.0 or inter != 0.0):
         values = (values.astype(np.float32) * np.float32(slope) + np.float32(inter))
-
-    if header.sform_code > 0:
-        affine = np.array([*header.srow, (0.0, 0.0, 0.0, 1.0)], dtype=np.float64)
-    else:
-        affine = np.diag((*header.spacing, 1.0))
-    return VolumeGrid(values, header.spacing, affine)
-
-
-def _payload_bytes(header: NiftiHeader) -> int:
-    nx, ny, nz = header.shape
-    return nx * ny * nz * _DTYPES[header.datatype].itemsize
+    return VolumeGrid(values, header.spacing, header.affine)
 
 
 def header_bytes(grid: VolumeGrid) -> bytes:
