@@ -98,10 +98,17 @@ class NiftiHeader:
         return self.vox_offset + math.prod(self.shape) * self.dtype.itemsize
 
 
+# How far b^2 + c^2 + d^2 of a float32 quaternion may pass 1 by rounding alone.
+_QUATERN_SLACK = 3 * float(np.finfo(np.float32).eps)
+_QFORM_FIELDS = ("quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z")
+
+
 def parse_header(buf: bytes) -> NiftiHeader:
     """Validate the first 348 bytes and decide the voxel layout and the affine.
 
-    The affine is the sform when ``sform_code > 0``, else the pixdim-scaled identity.
+    The affine is the sform when ``sform_code > 0``, else the qform when
+    ``qform_code > 0`` (NIfTI-1 method 2, as ``nifti_quatern_to_mat44`` in
+    nifti1_io.c builds it), else the pixdim-scaled identity.
     """
     if len(buf) < HEADER_SIZE:
         raise TruncatedFileError(
@@ -156,6 +163,29 @@ def parse_header(buf: bytes) -> NiftiHeader:
         rows = (fields[52:56], fields[56:60], fields[60:64])
         if not all(math.isfinite(v) for row in rows for v in row):
             raise NiftiFormatError(f"srow: sform rows must be finite, got {rows}")
+    elif fields[44] > 0:  # qform_code
+        for name, v in zip(_QFORM_FIELDS, fields[46:52]):
+            if not math.isfinite(v):
+                raise NiftiFormatError(f"{name}: must be finite, got {v}")
+        b, c, d, qx, qy, qz = fields[46:52]
+        norm = b * b + c * c + d * d
+        if norm > 1.0 + _QUATERN_SLACK:
+            raise NiftiFormatError(f"quatern_b/c/d: b^2 + c^2 + d^2 must be at most 1, got {norm}")
+        if norm > 1.0 - 1e-7:  # a half turn: (b, c, d) is taken as a unit axis
+            a, r = 0.0, math.sqrt(norm)
+            b, c, d = b / r, c / r, d / r
+        else:
+            a = math.sqrt(1.0 - norm)
+        if pixdim[0] < 0:  # qfac: a left-handed grid
+            dz = -dz
+        rows = (
+            ((a * a + b * b - c * c - d * d) * dx, 2 * (b * c - a * d) * dy,
+             2 * (b * d + a * c) * dz, qx),
+            (2 * (b * c + a * d) * dx, (a * a + c * c - b * b - d * d) * dy,
+             2 * (c * d - a * b) * dz, qy),
+            (2 * (b * d - a * c) * dx, 2 * (c * d + a * b) * dy,
+             (a * a + d * d - c * c - b * b) * dz, qz),
+        )
     else:
         rows = ((dx, 0.0, 0.0, 0.0), (0.0, dy, 0.0, 0.0), (0.0, 0.0, dz, 0.0))
 
@@ -283,9 +313,9 @@ def read_volume(source: Source) -> VolumeGrid:
     """Read a NIfTI-1 volume (optionally gzipped) into a VolumeGrid.
 
     Spacing comes from pixdim and the affine from ``parse_header``: the
-    sform when set, else a spacing-scaled identity. Slope/intercept scaling is
-    applied at read time; files written by this module always carry slope 1
-    and intercept 0 so integer volumes round-trip exactly.
+    sform, else the qform, else a spacing-scaled identity. Slope/intercept
+    scaling is applied at read time; files written by this module always
+    carry slope 1 and intercept 0 so integer volumes round-trip exactly.
     """
     raw, name = _read_source(source)
     try:

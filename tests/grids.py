@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from segqa.volume import PredictionSet, VolumeGrid
 
 # The box of a dense channel: the whole volume.
 WHOLE = (slice(None),) * 3
+
+
+def qform_only(blob: bytes, quatern, qoffset, qfac: float = 1.0) -> bytes:
+    """An uncompressed NIfTI-1 file's bytes with its sform switched off and a qform set.
+
+    ``quatern`` is (b, c, d), ``qoffset`` is (x, y, z) and ``qfac`` goes into
+    pixdim[0]; qform_code is 1 and sform_code 0.
+    """
+    head = bytearray(blob)
+    struct.pack_into("<f", head, 76, qfac)
+    struct.pack_into("<hh6f", head, 252, 1, 0, *quatern, *qoffset)
+    return bytes(head)
 
 
 def make_grid(values, spacing=(1.0, 1.0, 1.0), dtype=None) -> VolumeGrid:

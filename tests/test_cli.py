@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from grids import qform_only
 from segqa.cli import main
 from segqa.nifti import read_volume, write_volume
 from segqa.volume import VolumeGrid
@@ -998,6 +999,40 @@ class TestSimulateCli:
                      "--out", str(report)]) == 0
         assert len(json.loads(report.read_text())["loops"]) == 2
         assert alive_at_load == [0] * 6
+
+
+class TestQformOnlyCorpus:
+    """Channels with a qform and no sform: the qform is their geometry."""
+
+    TURN = (0.5, 0.5, 0.5)  # 120 degrees about (1, 1, 1): permutes the axes
+
+    def write(self, root, model, qoffset):
+        path = root / model / "c1_organ1.nii"
+        values = np.zeros((6, 6, 6), dtype=np.float32)
+        values[1:4, 1:3, 1:3] = 1.0 if model == "m0" else 0.0
+        write_channel(path, values, spacing=(2.0, 3.0, 4.0))
+        path.write_bytes(qform_only(path.read_bytes(), self.TURN, qoffset))
+        return path
+
+    def test_detect_writes_the_qform_affine(self, tmp_path):
+        for model in ("m0", "m1"):
+            self.write(tmp_path, model, (10.0, -20.0, 5.0))
+        out = tmp_path / "att"
+        assert main(["detect", "--preds", str(tmp_path / "m0"), str(tmp_path / "m1"),
+                     "--out", str(out)]) == 0
+        want = [[0, 0, 4, 10], [2, 0, 0, -20], [0, 3, 0, 5], [0, 0, 0, 1]]
+        for name in ("c1_attention.nii.gz", "c1_attention_organ1.nii.gz"):
+            assert np.array_equal(read_volume(out / name).affine, want)
+
+    def test_members_with_different_qoffsets_refused(self, tmp_path, capsys):
+        self.write(tmp_path, "m0", (10.0, -20.0, 5.0))
+        path = self.write(tmp_path, "m1", (10.0, -20.0, 6.0))
+        out = tmp_path / "att"
+        assert main(["detect", "--preds", str(tmp_path / "m0"), str(tmp_path / "m1"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"case 'c1': {path}: model 'm1', organ 1: channel is not grid-aligned" in err
+        assert not (out / "c1_sizes.json").exists()
 
 
 class TestMisalignedTruth:

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from grids import make_grid
+from grids import make_grid, qform_only
 from segqa import nifti
 from segqa.nifti import (
     HEADER_SIZE,
@@ -19,6 +19,7 @@ from segqa.nifti import (
     read_volume,
     write_volume,
 )
+from segqa.volume import AlignmentError, PredictionSet, grids_aligned
 
 
 def hand_built_file(
@@ -243,6 +244,111 @@ class TestRead:
         # Cut inside the comment: no deflate data is left.
         with pytest.raises(TruncatedFileError, match="header: need 348 bytes, stream has 0"):
             read_volume(blob[: len(blob) - len(raw) - 100])
+
+
+def quatern_file(quatern, qoffset=(10.0, -20.0, 5.0), qfac=1.0, pixdim=(2.0, 3.0, 4.0)) -> bytes:
+    return qform_only(hand_built_file(pixdim=pixdim), quatern, qoffset, qfac)
+
+
+QFORM_FIELDS = ("quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z")
+
+
+class TestQform:
+    """Without an sform, the affine comes from the qform (NIfTI-1 method 2)."""
+
+    @pytest.mark.parametrize("quatern, qfac, rotation", [
+        ((0.0, 0.0, 0.0), 1.0, [[2, 0, 0], [0, 3, 0], [0, 0, 4]]),
+        ((0.0, 0.0, 1.0), 1.0, [[-2, 0, 0], [0, -3, 0], [0, 0, 4]]),  # 180 degrees about z
+        ((0.0, 0.0, 1.0), -1.0, [[-2, 0, 0], [0, -3, 0], [0, 0, -4]]),  # and left-handed
+        ((0.5, 0.5, 0.5), 1.0, [[0, 0, 4], [2, 0, 0], [0, 3, 0]]),  # 120 degrees about (1, 1, 1)
+    ], ids=["identity", "z180", "z180-qfac", "xyz120"])
+    def test_qform_only_volume(self, quatern, qfac, rotation):
+        affine = read_volume(quatern_file(quatern, qfac=qfac)).affine
+        want = np.eye(4)
+        want[:3, :3] = rotation
+        want[:3, 3] = (10.0, -20.0, 5.0)
+        assert np.array_equal(affine, want)
+
+    def test_quarter_turn_about_x(self):
+        half = np.float32(np.sqrt(0.5))
+        affine = read_volume(quatern_file((half, 0.0, 0.0), qoffset=(0.0, 0.0, 0.0))).affine
+        want = [[2, 0, 0, 0], [0, 0, -4, 0], [0, 3, 0, 0], [0, 0, 0, 1]]
+        assert np.allclose(affine, want, atol=1e-6)
+
+    def test_sform_then_qform_then_pixdim(self):
+        qform = bytearray(quatern_file((0.0, 0.0, 1.0)))
+        both = bytearray(qform)
+        struct.pack_into("<h", both, 254, 1)  # sform_code
+        struct.pack_into("<12f", both, 280, 2, 0, 0, 1, 0, 3, 0, 2, 0, 0, 4, 3)
+        neither = bytearray(qform)
+        struct.pack_into("<h", neither, 252, 0)  # qform_code
+        assert np.array_equal(read_volume(bytes(both)).affine,
+                              [[2, 0, 0, 1], [0, 3, 0, 2], [0, 0, 4, 3], [0, 0, 0, 1]])
+        assert np.array_equal(read_volume(bytes(qform)).affine,
+                              [[-2, 0, 0, 10], [0, -3, 0, -20], [0, 0, 4, 5], [0, 0, 0, 1]])
+        assert np.array_equal(read_volume(bytes(neither)).affine, np.diag((2.0, 3.0, 4.0, 1.0)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", QFORM_FIELDS)
+    def test_non_finite_field_rejected(self, field, bad):
+        params = [0.0] * 6
+        params[QFORM_FIELDS.index(field)] = bad
+        blob = quatern_file(params[:3], params[3:])
+        with pytest.raises(NiftiFormatError, match=rf"^{field}: must be finite"):
+            read_volume(blob)
+        sform = bytearray(blob)
+        struct.pack_into("<h", sform, 254, 1)  # with an sform the qform is not read
+        struct.pack_into("<12f", sform, 280, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0)
+        assert np.array_equal(read_volume(bytes(sform)).affine, np.eye(4))
+
+    def test_quaternion_longer_than_one_rejected(self):
+        with pytest.raises(NiftiFormatError, match=r"^quatern_b/c/d: .* got 1\.28"):
+            read_volume(quatern_file((0.8, 0.8, 0.0)))
+
+    def test_quaternion_one_within_rounding_accepted(self):
+        # 0.6 and 0.8 as float32 square to just over 1: a 180-degree turn.
+        affine = read_volume(quatern_file((0.6, 0.8, 0.0), qoffset=(0.0, 0.0, 0.0))).affine
+        rotation = affine[:3, :3] / (2.0, 3.0, 4.0)
+        assert np.allclose(rotation @ rotation.T, np.eye(3), atol=1e-6)
+        assert np.allclose(rotation, [[-0.28, 0.96, 0], [0.96, 0.28, 0], [0, 0, -1]], atol=1e-6)
+
+    def test_members_with_different_qoffsets_are_not_aligned(self):
+        here = read_volume(quatern_file((0.0, 0.0, 1.0), qoffset=(0.0, 0.0, 0.0)))
+        there = read_volume(quatern_file((0.0, 0.0, 1.0), qoffset=(5.0, 0.0, 0.0)))
+        assert not grids_aligned(here, there)
+        channels = [g.with_values(np.zeros(g.dims, np.float32, order="F")) for g in (here, there)]
+        with pytest.raises(AlignmentError, match="model 'm1', organ 1"):
+            PredictionSet.from_channels("c1", ["m0", "m1"], [channels])
+
+    def test_rotated_volume_is_not_aligned(self):
+        plain = read_volume(quatern_file((0.0, 0.0, 0.0), qoffset=(0.0, 0.0, 0.0)))
+        turned = read_volume(quatern_file((0.0, 0.0, 1.0), qoffset=(0.0, 0.0, 0.0)))
+        assert not grids_aligned(plain, turned)
+
+    def test_written_volume_keeps_the_qform_affine(self, tmp_path):
+        grid = read_volume(quatern_file((0.5, 0.5, 0.5)))
+        write_volume(grid, tmp_path / "out.nii")
+        want = [[0, 0, 4, 10], [2, 0, 0, -20], [0, 3, 0, 5], [0, 0, 0, 1]]
+        assert np.array_equal(read_volume(tmp_path / "out.nii").affine, want)
+
+    def test_mutated_qform_reads_as_rotation_or_named_error(self):
+        # Random bytes in the quaternion and offsets: either a field-named
+        # error, or an affine whose columns are orthogonal, pixdim long, and
+        # whose last column holds the offsets.
+        rng = np.random.default_rng(11)
+        base = bytearray(quatern_file((0.0, 0.0, 0.0)))
+        for _ in range(500):
+            mutated = bytearray(base)
+            for _ in range(int(rng.integers(1, 4))):
+                mutated[int(rng.integers(256, 280))] = int(rng.integers(0, 256))
+            try:
+                affine = read_volume(bytes(mutated)).affine
+            except NiftiFormatError as exc:
+                assert str(exc).startswith(("quatern_", "qoffset_"))
+                continue
+            rotation = affine[:3, :3] / (2.0, 3.0, 4.0)
+            assert np.allclose(rotation.T @ rotation, np.eye(3), atol=1e-5)
+            assert affine[:3, 3].tolist() == list(struct.unpack_from("<3f", mutated, 268))
 
 
 class TestReadZlib(TestRead):
