@@ -148,13 +148,18 @@ def discover_cases(model_dirs: Sequence[str | Path]) -> CorpusIndex:
     """List each model directory once and index every case's channels per model."""
     if not model_dirs:
         raise CorpusError("need at least one model directory")
-    # One model counted twice would agree with itself wherever it is wrong.
+    # One model counted twice would agree with itself wherever it is wrong,
+    # and a directory's base name is its model id.
     resolved: dict[Path, str | Path] = {}
+    named: dict[str, str | Path] = {}
     for model_dir in model_dirs:
-        key = Path(model_dir).resolve()
+        key, name = Path(model_dir).resolve(), Path(model_dir).name
         if key in resolved:
             raise CorpusError(f"model directory given twice: {resolved[key]} and {model_dir}")
-        resolved[key] = model_dir
+        if name in named:
+            raise CorpusError(f"model directories {named[name]} and {model_dir} share the "
+                              f"model id {name!r}")
+        resolved[key], named[name] = model_dir, model_dir
     per_model = [find_channel_volumes(d) for d in model_dirs]
     for model_dir, channels in zip(model_dirs, per_model):
         if channels.keys() != per_model[0].keys():
@@ -313,10 +318,20 @@ def read_sizes(attention_dir: str | Path) -> list[dict[str, object]]:
 
 # -- small serialization helpers ----------------------------------------------
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # json.loads alone would keep the last value silently
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} "
+                         "is given twice in one object")
+    return obj
+
+
 def read_json(path: Path) -> object:
-    """Parse one JSON file; text that is not UTF-8 JSON is an error naming the file."""
+    """Parse one JSON file; text that is not UTF-8 JSON, or that gives one key twice
+    in an object, is an error naming the file."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise CorpusError(f"{path}: {exc}") from None
 

@@ -40,6 +40,7 @@ from segqa.campaign import (
     size_rank_curve,
     stopping_check,
 )
+from segqa.corpus import CorpusError
 from segqa.detect import build_attention
 from segqa.regions import mean_label_dsc
 from segqa.volume import LabelVolume, PredictionSet, labels_from_soft
@@ -384,6 +385,13 @@ class TestMalformedState:
         path = tmp_path / "campaign.json"
         path.write_text(json.dumps(valid_state_payload()))
         assert load_state(path).case("a").per_organ_mm3 == {"liver": 2.0}
+
+    def test_repeated_key_rejected_naming_the_file_and_key(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        path.write_text('{"loop_index": 3, ' + json.dumps(valid_state_payload())[1:])
+        with pytest.raises(CorpusError) as exc:
+            load_state(path)
+        assert str(exc.value) == f"{path}: key 'loop_index' is given twice in one object"
 
 
 def two_organ_members(error_all_models=False):

@@ -98,6 +98,37 @@ class TestTwoFilesForOneInput:
             discover_cases([tmp_path / "one", again])
         assert str(exc.value) == f"model directory given twice: {tmp_path / 'one'} and {again}"
 
+    def test_model_directories_sharing_a_base_name(self, tmp_path):
+        for parent in ("a", "b"):
+            write_float(tmp_path / parent / "m" / "c1_organ1.nii.gz", np.zeros((2, 2, 2)))
+        with pytest.raises(CorpusError) as exc:
+            discover_cases([tmp_path / "a" / "m", tmp_path / "b" / "m"])
+        assert str(exc.value) == (f"model directories {tmp_path / 'a' / 'm'} and "
+                                  f"{tmp_path / 'b' / 'm'} share the model id 'm'")
+
+
+class TestRepeatedJsonKeys:
+    """A key given twice in one JSON object is refused, naming the file and the key."""
+
+    def test_manifest(self, tmp_path):
+        model = tmp_path / "m"
+        for name in ("first.nii.gz", "second.nii.gz"):
+            write_float(model / name, np.zeros((2, 2, 2)))
+        manifest = model / "manifest.json"
+        manifest.write_text('{"cases": {"c1": {"1": "first.nii.gz", "1": "second.nii.gz"}}}')
+        with pytest.raises(CorpusError) as exc:
+            find_channel_volumes(model)
+        assert str(exc.value) == f"{manifest}: key '1' is given twice in one object"
+
+    def test_sizes_sidecar(self, tmp_path):
+        sidecar = tmp_path / "c1_sizes.json"
+        sidecar.write_text('{"case_id": "c1", "organ_names": ["organ1"], "config": {}, '
+                           '"per_organ_mm3": {"organ1": 1.0}, "total_mm3": 1.0, '
+                           '"total_mm3": 9.0}')
+        with pytest.raises(CorpusError) as exc:
+            read_sizes(tmp_path)
+        assert str(exc.value) == f"{sidecar}: key 'total_mm3' is given twice in one object"
+
 
 class TestListingOrder:
     """Listings sort names as str, in the order sorted(Path.iterdir()) gives them."""
