@@ -38,7 +38,8 @@ class AlignmentError(ValueError):
 class ChannelError(ValueError):
     """One member's soft channel of one organ breaks the rule for soft channels.
 
-    The rule: float32, on the case's voxel lattice, finite and in [0, 1].
+    The rule: float32, on the case's voxel lattice (a crop fills its box),
+    finite and in [0, 1].
     ``member`` is the index of the model and ``code`` the organ.
     """
 
@@ -46,6 +47,11 @@ class ChannelError(ValueError):
         super().__init__(f"model {model_id!r}, organ {code}: {problem}")
         self.member = member
         self.code = code
+        self._init = (model_id, member, code, problem)
+
+    def __reduce__(self):
+        # ``args`` holds only the message: rebuild from what __init__ took.
+        return type(self), self._init, self.__dict__
 
 
 class ProbabilityRangeError(ChannelError):
@@ -171,6 +177,8 @@ class LabelVolume:
     organs: int
 
     def __post_init__(self) -> None:
+        if self.organs < 1:
+            raise ValueError(f"need at least one organ, got {self.organs}")
         v = self.grid.values
         if v.dtype not in (np.dtype(np.uint8), np.dtype(np.int16)):
             raise TypeError(f"label volumes must be integer-kind, got {v.dtype}")
@@ -206,8 +214,9 @@ class PredictionSet:
 
     ``model_ids[k]`` names member k of every organ, and ``organs[c]`` is organ
     code c + 1. ``grid`` keeps only the case geometry: its values are one zero
-    broadcast to the case dims. Every crop must be float32, finite and in
-    [0, 1]; a breach raises :class:`ChannelError` naming the model and organ.
+    broadcast to the case dims. Every crop must be float32, of its box's shape
+    within the dims, finite and in [0, 1]; a breach raises
+    :class:`ChannelError` naming the model and organ.
     The checks run on the crops, which is exact: every voxel outside a box is
     a zero, and a zero passes them.
     """
@@ -231,12 +240,17 @@ class PredictionSet:
             if len(organ.crops) != len(model_ids):
                 raise AlignmentError(f"case {self.case_id!r}, organ {code}: {len(organ.crops)} "
                                      f"member channels for {len(model_ids)} models")
+            # The box's shape within the dims: what indexing a case volume with it gives.
+            shape = tuple(len(range(*s.indices(n))) for s, n in zip(organ.box, dims))
             for k, crop in enumerate(organ.crops):
                 if crop.dtype != np.dtype(np.float32):
                     raise ChannelError(model_ids[k], k, code,
                                        f"soft channels must be float32, got {crop.dtype}")
+                if crop.shape != shape:
+                    raise ChannelAlignmentError(model_ids[k], k, code, f"crop of shape "
+                                                f"{crop.shape} in a box of shape {shape}")
                 lo, hi = (float(crop.min()), float(crop.max())) if crop.size else (0.0, 0.0)
-                if crop.shape != dims:  # report the channel's range: the zeros around the box count
+                if shape != dims:  # report the channel's range: the zeros around the box count
                     lo, hi = min(lo, 0.0), max(hi, 0.0)
                 if not (0.0 <= lo and hi <= 1.0):  # also false for NaN
                     raise ProbabilityRangeError(

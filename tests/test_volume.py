@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from segqa.ensemble import ensemble_label
 from segqa.volume import (
     DEFAULT_ORGANS,
     AlignmentError,
+    ChannelAlignmentError,
     ChannelError,
     LabelVolume,
     PredictionSet,
@@ -246,6 +248,36 @@ class TestPredictionTypes:
     def test_label_volume_rejects_out_of_map_codes(self):
         with pytest.raises(ValueError):
             LabelVolume(make_grid([[[5]]], dtype=np.uint8), 2)
+
+    def test_label_volume_needs_an_organ(self):
+        with pytest.raises(ValueError, match="need at least one organ"):
+            LabelVolume(make_grid(np.zeros((2, 2, 2)), dtype=np.uint8), 0)
+
+    def test_crop_must_fill_its_box(self):
+        grid = float_grid(np.zeros((4, 4, 4)))
+        box = (slice(0, 4),) * 3
+        crops = (np.zeros((4, 4, 4), np.float32), np.zeros((1, 4, 4), np.float32))
+        with pytest.raises(ChannelAlignmentError, match=r"^model 'm1', organ 1: crop of "
+                                                        r"shape \(1, 4, 4\) in a box of "
+                                                        r"shape \(4, 4, 4\)$") as exc:
+            PredictionSet("c", ("m0", "m1"), grid, [SoftPrediction(box, crops)])
+        assert (exc.value.member, exc.value.code) == (1, 1)
+
+    def test_box_past_the_dims_is_cut_to_them(self):
+        grid = float_grid(np.zeros((4, 4, 4)))
+        box = (slice(2, 6),) * 3
+        with pytest.raises(ChannelAlignmentError, match=r"^model 'm', organ 2: crop of "
+                                                        r"shape \(4, 4, 4\) in a box of "
+                                                        r"shape \(2, 2, 2\)$"):
+            PredictionSet("c", ("m",), grid, [SoftPrediction(box, (np.zeros((2, 2, 2), np.float32),)),
+                                             SoftPrediction(box, (np.zeros((4, 4, 4), np.float32),))])
+
+    @pytest.mark.parametrize("cls", [ChannelError, ProbabilityRangeError, ChannelAlignmentError])
+    def test_channel_errors_pickle(self, cls):
+        exc = cls("m", 0, 1, "bad")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert (str(back), back.member, back.code) == ("model 'm', organ 1: bad", 0, 1)
 
 
 # Values that stress an order-stable sum: denormals, 1e-30 next to 1.0,
