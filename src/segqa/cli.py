@@ -81,7 +81,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"detect: --jobs must be at least 1, got {args.jobs}")
     index = corpus.discover_cases(model_dirs)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     tasks = [(cid, index.members[cid], str(args.out), cfg) for cid in index.case_ids]
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
@@ -154,7 +153,14 @@ def cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_out_dir(out: str) -> None:
+    # Checked before any case is read: the write comes only after all of them.
+    if not Path(out).parent.is_dir():
+        raise FileNotFoundError(f"{out}: output directory {Path(out).parent} does not exist")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _require_out_dir(args.out)
     sizes = corpus.read_sizes(args.attention)
     organs = len(sizes[0]["organ_names"])
     pseudo_files = corpus.find_label_volumes(args.pseudo)
@@ -235,6 +241,7 @@ def _ensemble_one(
     # A function of its own, so one case's channels are freed before the next loads.
     preds = corpus.load_prediction_set(case_id, members)
     label = ensemble_label(preds, threshold)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_volume(label.grid, out_dir / f"{case_id}.nii.gz")
     corpus.write_json(
         out_dir / f"{case_id}_ensemble.json",
@@ -249,10 +256,8 @@ def _ensemble_one(
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
     index = corpus.discover_cases([str(d) for d in args.preds])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for case_id in index.case_ids:
-        _ensemble_one(case_id, index.members[case_id], out_dir, args.bin_thresh)
+        _ensemble_one(case_id, index.members[case_id], Path(args.out), args.bin_thresh)
     print(f"ensemble: wrote {len(index.case_ids)} label volumes to {args.out}")
     return 0
 
@@ -293,6 +298,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _require_out_dir(args.out)
     cfg = _detection_config(args)
     index = corpus.discover_cases([str(d) for d in args.preds])
     truth_files = corpus.find_label_volumes(args.truth)
@@ -338,6 +344,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_fpscan(args: argparse.Namespace) -> int:
+    _require_out_dir(args.out)
     label_files = corpus.find_label_volumes(args.preds)
     masks = ((cid, _load_mask(label_files[cid], args.organ)) for cid in sorted(label_files))
     scan = regions.false_positive_scan(masks, connectivity=args.connectivity)

@@ -397,12 +397,18 @@ def open_replacing(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]
     a truncated one; if the block raises, the temp file is removed. The temp
     name ``.<name>.<pid>.tmp`` matches no discovery pattern, and the pid keeps
     parallel workers apart. It does not fsync; a caller that needs the data
-    on disk fsyncs inside the block.
+    on disk fsyncs inside the block. A temp file that cannot be opened is
+    reported under ``path``, the name the caller knows.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, **kwargs) as f:
+        f = open(tmp, mode, **kwargs)
+    except OSError as exc:
+        exc.filename = str(path)
+        raise
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -371,65 +371,66 @@ def support_box(arrays: Sequence[np.ndarray]) -> tuple[slice, ...]:
     return tuple(box)
 
 
-def _order_key(bits: np.ndarray) -> np.ndarray:
-    """Map float bit patterns (viewed as signed ints) to keys that order like the values.
+def _sorted_members(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The float32 members in one stack, sorted elementwise in ascending order.
 
-    Flipping the magnitude bits of negative numbers makes integer order equal
-    float order, with -0.0 just below +0.0. The map is its own inverse.
+    An odd-even transposition network: K rounds of in-place compare-exchange
+    (``np.minimum``/``np.maximum``) between neighbouring rows. It runs on the
+    stack's int32 view with the magnitude bits of negatives flipped, so integer
+    order is float order and -0.0 sorts below +0.0 (float min/max may return
+    one zero twice). The flip is its own inverse and is undone before return.
     """
-    return bits ^ ((bits >> (8 * bits.itemsize - 1)) & np.iinfo(bits.dtype).max)
+    if any(np.asarray(a).dtype != np.float32 for a in arrays):
+        raise TypeError(f"members must be float32, got {[np.asarray(a).dtype.name for a in arrays]}")
+    s = np.stack(arrays)
+    keys = s.view(np.int32)
+    for k in keys:
+        k ^= (k >> 31) & 0x7FFFFFFF
+    low = np.empty_like(keys[0])
+    for r in range(len(keys)):
+        for i in range(r % 2, len(keys) - 1, 2):
+            np.minimum(keys[i], keys[i + 1], out=low)
+            np.maximum(keys[i], keys[i + 1], out=keys[i + 1])
+            keys[i] = low
+    for k in keys:
+        k ^= (k >> 31) & 0x7FFFFFFF
+    return s
 
 
-def _sorted_members(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The member arrays as float64, sorted elementwise in ascending order.
-
-    An odd-even transposition network: K rounds of compare-exchange between
-    neighbouring members, each an ``np.minimum``/``np.maximum`` pair over whole
-    arrays. After round K every voxel's K values are in ascending order, as a
-    sort along the member axis would leave them, without stacking the members
-    or sorting per voxel. The exchange runs on integer keys (:func:`_order_key`)
-    because min/max of -0.0 and +0.0 may return the same zero twice; on keys
-    each exchange is an exact permutation. float32 members are sorted as
-    float32, which is exact and moves half the bytes.
-    """
-    narrow = all(np.asarray(a).dtype == np.float32 for a in arrays)
-    floats, ints = (np.float32, np.int32) if narrow else (np.float64, np.int64)
-    s = [_order_key(np.asarray(a, dtype=floats).view(ints)) for a in arrays]
-    for r in range(len(s)):
-        for i in range(r % 2, len(s) - 1, 2):
-            s[i], s[i + 1] = np.minimum(s[i], s[i + 1]), np.maximum(s[i], s[i + 1])
-    return [np.asarray(_order_key(k).view(floats), dtype=np.float64) for k in s]
+def _sorted_mean(s: np.ndarray) -> np.ndarray:
+    """float64 mean of the sorted rows, summed in order; each float32 row widens exactly."""
+    mean = s[0].astype(np.float64)
+    for x in s[1:]:
+        mean += x
+    mean /= len(s)
+    return mean
 
 
 def stable_mean(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise mean, accumulated in value-sorted order.
+    """Elementwise float64 mean of float32 members, accumulated in value-sorted order.
 
-    The members are sorted per voxel by a compare-exchange network before
-    summation. Floating-point addition is not associative, but a fixed
-    summation order (ascending value) makes the result independent of the
-    order in which the member arrays are supplied: reductions stay bit-exact
-    under permutation of the members.
+    Floating-point addition is not associative, but a fixed summation order
+    (ascending value, :func:`_sorted_members`) makes the result independent of
+    the order in which the member arrays are supplied: reductions stay
+    bit-exact under permutation of the members.
     """
-    s = _sorted_members(arrays)
-    return sum(s[1:], s[0]) / len(s)
+    return _sorted_mean(_sorted_members(arrays))
 
 
 def stable_mean_std(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise mean and population standard deviation, order-stable.
 
-    Both sums run in the value-sorted order of :func:`stable_mean`, so they are
-    bit-exact under permutation of the members. Uses the 1/K normalization,
-    so for probabilities the result is bounded by 0.5 and thresholds on it are
-    interpretable on a fixed scale.
+    Both sums run in the value-sorted order of :func:`stable_mean`. Beside the
+    member stack only the mean, the variance and one deviation are held, all
+    float64. The 1/K normalization bounds the std of probabilities by 0.5.
     """
     s = _sorted_members(arrays)
-    k = len(s)
-    mean = sum(s[1:], s[0]) / k
+    mean = _sorted_mean(s)
     var = np.zeros_like(mean)
     dev = np.empty_like(mean)
     for x in s:
         np.subtract(x, mean, out=dev)
         np.multiply(dev, dev, out=dev)
         var += dev
-    var /= k
+    var /= len(s)
     return mean, np.sqrt(var, out=var)

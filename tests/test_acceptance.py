@@ -135,7 +135,7 @@ def test_entropy_std_analytic():
     for p in ps:
         assert abs(binary_entropy(float(p)) - binary_entropy(1.0 - float(p))) <= 1e-12
 
-    _, std = stable_mean_std([np.zeros((1, 1, 1)), np.ones((1, 1, 1))])
+    _, std = stable_mean_std([np.zeros((1, 1, 1), np.float32), np.ones((1, 1, 1), np.float32)])
     assert abs(float(std[0, 0, 0]) - 0.5) <= 1e-12
 
     for _ in range(100):

@@ -1001,6 +1001,54 @@ class TestSimulateCli:
         assert alive_at_load == [0] * 6
 
 
+class TestMissingOutputDirectory:
+    """An --out file in a directory that does not exist is refused before any case is read."""
+
+    @pytest.fixture
+    def corpus(self, blob_corpus, monkeypatch):
+        from segqa import cli, corpus
+
+        root, _ = blob_corpus
+        preds = [str(root / "modelA"), str(root / "modelB")]
+        assert main(["detect", "--preds", *preds, "--out", str(root / "att")]) == 0
+        assert main(["ensemble", "--preds", *preds, "--out", str(root / "pseudo")]) == 0
+        write_labels(root / "truth" / "case1.nii.gz", np.zeros((6, 6, 6)))
+        reads = []
+        for module in (cli, corpus):
+            real = module.read_volume
+            monkeypatch.setattr(module, "read_volume",
+                                lambda path, real=real: reads.append(path) or real(path))
+        return root, preds, reads
+
+    def assert_refused(self, argv, out, reads, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{out}: output directory {out.parent} does not exist" in err
+        assert ".tmp" not in err
+        assert reads == []
+        assert not out.parent.exists()
+
+    def test_evaluate(self, corpus, capsys):
+        root, _, reads = corpus
+        out = root / "nonexist" / "metrics.json"
+        self.assert_refused(["evaluate", "--attention", str(root / "att"),
+                             "--pseudo", str(root / "pseudo"), "--truth", str(root / "truth"),
+                             "--out", str(out)], out, reads, capsys)
+
+    def test_simulate(self, corpus, capsys):
+        root, preds, reads = corpus
+        out = root / "nonexist" / "sim.json"
+        self.assert_refused(["simulate", "--preds", *preds, "--truth", str(root / "truth"),
+                             "--out", str(out)], out, reads, capsys)
+
+    def test_fpscan(self, corpus, capsys):
+        root, _, reads = corpus
+        out = root / "nonexist" / "fp.json"
+        self.assert_refused(["fpscan", "--preds", str(root / "truth"), "--organ", "1",
+                             "--out", str(out)], out, reads, capsys)
+
+
 class TestQformOnlyCorpus:
     """Channels with a qform and no sform: the qform is their geometry."""
 
@@ -1032,7 +1080,17 @@ class TestQformOnlyCorpus:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"case 'c1': {path}: model 'm1', organ 1: channel is not grid-aligned" in err
-        assert not (out / "c1_sizes.json").exists()
+        assert not out.exists()
+
+    def test_ensemble_of_members_with_different_qoffsets_leaves_no_directory(self, tmp_path,
+                                                                               capsys):
+        self.write(tmp_path, "m0", (10.0, -20.0, 5.0))
+        path = self.write(tmp_path, "m1", (10.0, -20.0, 6.0))
+        out = tmp_path / "pseudo"
+        assert main(["ensemble", "--preds", str(tmp_path / "m0"), str(tmp_path / "m1"),
+                     "--out", str(out)]) == 1
+        assert f"{path}: model 'm1', organ 1: channel is not grid-aligned" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMisalignedTruth:

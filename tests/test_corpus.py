@@ -420,6 +420,14 @@ class TestCaseIdRule:
 
 
 class TestWritesByRename:
+    def test_missing_directory_error_names_the_target(self, tmp_path):
+        path = tmp_path / "nonexist" / "report.json"
+        with pytest.raises(FileNotFoundError) as exc:
+            with open_replacing(path, "w"):
+                pass
+        assert exc.value.filename == str(path)
+        assert ".tmp" not in str(exc.value)
+
     def test_failed_csv_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "ranking.csv"
         write_csv(path, ["rank"], [[1]])

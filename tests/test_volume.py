@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,11 +288,11 @@ ADVERSARIAL = [0.0, -0.0, 1e-45, 1e-40, 1e-30, 0.1, 0.3, 0.5, 1.0 - 2.0**-24, 1.
 
 
 class TestStableReductions:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float32])
     @pytest.mark.parametrize("members", [2, 3, 4, 5])
     def test_network_matches_sorted_stack_bit_exact(self, members, dtype):
         rng = np.random.default_rng(members)
-        pool = np.array(ADVERSARIAL + ([5e-324, 1e-310] if dtype == np.float64 else []), dtype)
+        pool = np.array(ADVERSARIAL, dtype)
         arrays = [rng.choice(pool, size=(8, 8, 4)) for _ in range(members)]
         ref_mean, ref_std = sorted_stack_mean_std(arrays)
         for perm in itertools.permutations(arrays):
@@ -300,8 +301,44 @@ class TestStableReductions:
             assert np.array_equal(std.view(np.int64), ref_std.view(np.int64))
             assert np.array_equal(stable_mean(list(perm)).view(np.int64), ref_mean.view(np.int64))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.lists(st.just(-0.0) | st.floats(0.0, 1.0, width=32), min_size=6, max_size=6),
+        min_size=2, max_size=5,
+    ))
+    def test_any_unit_interval_members_match_the_oracle(self, members):
+        # floats(0.0, 1.0) draws denormals and +0.0 but never -0.0, so -0.0 is drawn apart.
+        arrays = [np.array(m, np.float32).reshape(1, 2, 3) for m in members]
+        ref_mean, ref_std = sorted_stack_mean_std(arrays)
+        for perm in itertools.permutations(arrays):
+            mean, std = stable_mean_std(list(perm))
+            assert np.array_equal(mean.view(np.int64), ref_mean.view(np.int64))
+            assert np.array_equal(std.view(np.int64), ref_std.view(np.int64))
+            assert np.array_equal(stable_mean(list(perm)).view(np.int64), ref_mean.view(np.int64))
+
+    @pytest.mark.parametrize("reduce", [stable_mean, stable_mean_std])
+    def test_float64_members_raise(self, reduce):
+        members = [np.zeros((2, 2, 2), np.float32), np.zeros((2, 2, 2), np.float64)]
+        with pytest.raises(TypeError, match=r"members must be float32, got \['float32', 'float64'\]"):
+            reduce(members)
+
+    @pytest.mark.parametrize("members", [2, 3, 5])
+    def test_std_holds_one_float32_stack_and_three_float64_volumes(self, members, rng):
+        arrays = [np.asfortranarray(rng.random((64, 64, 32), dtype=np.float32))
+                  for _ in range(members)]
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            stable_mean_std(arrays)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # The stack, mean, variance and deviation, plus 128 KiB for numpy's
+        # float32-to-float64 casting buffer (8,192 float64s per operand).
+        assert peak <= (4 * members + 24) * arrays[0].size + 128 * 1024
+
     def test_mean_matches_plain_mean(self, rng):
-        arrays = [rng.random((3, 3, 3)) for _ in range(3)]
+        arrays = [rng.random((3, 3, 3), dtype=np.float32) for _ in range(3)]
         assert np.allclose(stable_mean(arrays), np.mean(arrays, axis=0))
 
     def test_permutation_bit_exact(self, rng):
