@@ -6,9 +6,12 @@ errors (``bench/corpusgen.py``): three models, nine organs and a truth label
 map. The case is streamed one channel at a time, because holding all 27
 channels at 512 x 512 x 380 takes 10.8 GB; inputs are gzipped at level 1 to
 keep generation short. The voxels equal ``corpusgen.make_case``'s for the
-same seed (``tests/test_scripts.py`` checks this at 48 x 40 x 24). Then ``detect``, ``ensemble``, ``evaluate`` and ``simulate`` each
-run in a fresh process, and one JSON line per command gives its wall time
-and ``ru_maxrss``.
+same seed (``tests/test_scripts.py`` checks this at 48 x 40 x 24). Then
+``detect``, ``rank``, ``campaign init``, one ``campaign mark``, ``ensemble``,
+``evaluate`` and ``simulate`` each run in a fresh process, and one JSON line
+per command gives its wall time and ``ru_maxrss``. The bookkeeping commands
+(``rank`` and ``campaign``) show what each process pays to start, since one
+runs per reviewed case.
 
 Usage (from the root of a segqa checkout):
     python3 scripts/probe_memory.py                  # 512 x 512 x 380, a few minutes
@@ -26,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import takewhile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,7 +104,7 @@ def run_command(argv: list[str]) -> dict[str, object]:
     _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
     proc.returncode = os.waitstatus_to_exitcode(status)
     return {
-        "command": argv[0],
+        "command": " ".join(takewhile(lambda word: not word.startswith("-"), argv)),
         "exit": proc.returncode,
         "wall_s": round(time.perf_counter() - start, 2),
         "ru_maxrss_mb": round(usage.ru_maxrss / 1024, 1),  # Linux reports KiB
@@ -127,8 +131,12 @@ def main() -> int:
               file=sys.stderr)
 
         models = sorted(str(d) for d in root.glob("model*"))
+        state = str(root / "campaign.json")
         commands = [
             ["detect", "--preds", *models, "--out", str(root / "attention")],
+            ["rank", "--attention", str(root / "attention"), "--out", str(root / "ranking.csv")],
+            ["campaign", "init", "--state", state, "--attention", str(root / "attention")],
+            ["campaign", "mark", "--state", state, "--case", CASE, "--status", "revised"],
             ["ensemble", "--preds", *models, "--out", str(root / "pseudo")],
             ["evaluate", "--attention", str(root / "attention"), "--pseudo",
              str(root / "pseudo"), "--truth", str(root / "truth"),

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence, get_origin, get_type_hints
 
 import numpy as np
-from scipy import ndimage
 
 from .corpus import read_json
 from .detect import DetectionConfig, build_attention
@@ -395,6 +394,8 @@ class LoopReport:
 
 
 def _labels_as_predictions(case_id: str, label: LabelVolume, loop_index: int) -> PredictionSet:
+    from scipy import ndimage  # here: its ~0.3 s, ~27 MB load would slow every command
+
     # Identical 0/1 members have std 0 and a mean equal to the channel, whatever
     # their count, so two (the fewest build_attention accepts) share one crop.
     # An organ's bounding box in the labels is the support box of its channel.

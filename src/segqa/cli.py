@@ -109,7 +109,15 @@ def _case_entries(sizes: list[dict[str, object]]) -> list[camp.CaseEntry]:
     ]
 
 
+def _require_distinct(command: str, first: str | Path, second: str | Path) -> None:
+    # Checked before any input is read: the second write would replace the first.
+    if Path(first).resolve() == Path(second).resolve():
+        raise ValueError(f"{command}: two outputs would be written to {second}")
+
+
 def cmd_rank(args: argparse.Namespace) -> int:
+    if args.curve:
+        _require_distinct("rank", args.out, args.curve)
     sizes = corpus.read_sizes(args.attention)
     organ_names = list(sizes[0]["organ_names"])
     ranked = camp.rank_cases(_case_entries(sizes))
@@ -161,6 +169,8 @@ def _require_out_dir(out: str) -> None:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _require_out_dir(args.out)
+    csv_path = Path(args.out).with_suffix(".csv")
+    _require_distinct("evaluate", args.out, csv_path)
     sizes = corpus.read_sizes(args.attention)
     organs = len(sizes[0]["organ_names"])
     pseudo_files = corpus.find_label_volumes(args.pseudo)
@@ -194,7 +204,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
 
     corpus.write_json(args.out, regions.metrics_json_dict(cases, provenance))
-    csv_path = Path(args.out).with_suffix(".csv")
     corpus.write_csv(csv_path, regions.METRICS_CSV_HEADER, regions.metrics_csv_rows(cases))
     print(f"evaluate: wrote {args.out} and {csv_path} ({len(cases)} cases)")
     return 0

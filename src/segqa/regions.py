@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .volume import (
     AlignmentError,
@@ -27,10 +26,10 @@ from .volume import (
     support_box,
 )
 
+# ndimage.generate_binary_structure(3, r): the offsets within city-block distance r.
 _STRUCTURES = {
-    6: ndimage.generate_binary_structure(3, 1),
-    18: ndimage.generate_binary_structure(3, 2),
-    26: ndimage.generate_binary_structure(3, 3),
+    n: np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= r
+    for n, r in ((6, 1), (18, 2), (26, 3))
 }
 
 
@@ -58,6 +57,8 @@ def connected_components(mask: VolumeGrid, connectivity: int = 26) -> tuple[np.n
 
     Ids run from 1 to count; their order is not promised.
     """
+    from scipy import ndimage  # here: its ~0.3 s, ~27 MB load would slow every command
+
     if connectivity not in _STRUCTURES:
         raise ValueError(f"connectivity must be one of {tuple(_STRUCTURES)}, got {connectivity}")
     # The transpose has the same components (each structure is symmetric in the

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -1047,6 +1050,99 @@ class TestMissingOutputDirectory:
         out = root / "nonexist" / "fp.json"
         self.assert_refused(["fpscan", "--preds", str(root / "truth"), "--organ", "1",
                              "--out", str(out)], out, reads, capsys)
+
+
+class TestOutputsAtOnePath:
+    """Two outputs of one command at one path are refused before any input is read."""
+
+    @pytest.fixture
+    def corpus(self, blob_corpus, monkeypatch):
+        from segqa import corpus
+
+        root, _ = blob_corpus
+        preds = [str(root / "modelA"), str(root / "modelB")]
+        assert main(["detect", "--preds", *preds, "--out", str(root / "att")]) == 0
+        assert main(["ensemble", "--preds", *preds, "--out", str(root / "pseudo")]) == 0
+        write_labels(root / "truth" / "case1.nii.gz", np.zeros((6, 6, 6)))
+        reads = []
+        real = corpus.read_sizes
+        monkeypatch.setattr(corpus, "read_sizes", lambda d: reads.append(d) or real(d))
+        return root, reads
+
+    def assert_refused(self, argv, out, reads, capsys):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"two outputs would be written to {out}" in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
+    def test_evaluate_json_at_the_csv_path(self, corpus, capsys):
+        root, reads = corpus
+        out = root / "m.csv"
+        self.assert_refused(["evaluate", "--attention", str(root / "att"),
+                             "--pseudo", str(root / "pseudo"), "--truth", str(root / "truth"),
+                             "--out", str(out)], out, reads, capsys)
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_rank_curve_at_the_ranking_path(self, corpus, capsys, monkeypatch, relative):
+        root, reads = corpus
+        out = root / "r.csv"
+        monkeypatch.chdir(root)
+        self.assert_refused(["rank", "--attention", str(root / "att"),
+                             "--out", "r.csv" if relative else str(out), "--curve", str(out)],
+                            out, reads, capsys)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Runs segqa.cli.main on each argv of a JSON list where importing scipy raises
+# ImportError; prints one exit code, or the ImportError's message, per argv.
+SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None
+from segqa.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        results.append(main(argv))
+    except ImportError as exc:
+        results.append(str(exc))
+print(json.dumps(results))
+"""
+
+
+def test_only_component_labeling_imports_scipy(blob_corpus):
+    """scipy.ndimage costs each process ~0.3 s to import; only labeling commands pay it."""
+    root, _ = blob_corpus
+    preds = [str(root / "modelA"), str(root / "modelB")]
+    att, pseudo, truth = root / "att", root / "pseudo", root / "truth"
+    state = str(root / "campaign.json")
+    write_labels(truth / "case1.nii.gz", np.zeros((6, 6, 6)))
+    labels = [str(pseudo / "case1.nii.gz"), str(truth / "case1.nii.gz")]
+    free = [
+        ["estimate", "--revised", "1", "--total", "2"],
+        ["detect", "--preds", *preds, "--out", str(att)],
+        ["ensemble", "--preds", *preds, "--out", str(pseudo)],
+        ["rank", "--attention", str(att), "--out", str(root / "ranking.csv"),
+         "--curve", str(root / "curve.csv")],
+        ["select", "--ranking", str(root / "ranking.csv"), "--threshold-mm3", "0", "--knee"],
+        ["dsc", "--a", *labels[:1], "--b", *labels[1:]],
+        ["matrix", "--inputs", *labels, "--organ", "1", "--out", str(root / "matrix.csv")],
+        ["campaign", "init", "--state", state, "--attention", str(att)],
+        ["campaign", "mark", "--state", state, "--case", "case1", "--status", "revised"],
+        ["campaign", "status", "--state", state],
+        ["campaign", "stop-check", "--state", state],
+    ]
+    evaluate = ["evaluate", "--attention", str(att), "--pseudo", str(pseudo),
+                "--truth", str(truth), "--out", str(root / "metrics.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED, json.dumps([*free, evaluate])],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout.splitlines()[-1])
+    assert results[:-1] == [0] * len(free), proc.stderr
+    # The block holds: evaluate labels components, so it reaches the import and fails.
+    assert "scipy" in results[-1]
 
 
 class TestQformOnlyCorpus:

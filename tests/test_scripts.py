@@ -57,5 +57,6 @@ def test_probe_runs_every_command():
     probe = run([SCRIPTS / "probe_memory.py", "--dims", "24", "24", "12"])
     assert probe.returncode == 0, probe.stderr
     results = [json.loads(line) for line in probe.stdout.splitlines()]
-    assert [r["command"] for r in results] == ["detect", "ensemble", "evaluate", "simulate"]
+    assert [r["command"] for r in results] == [
+        "detect", "rank", "campaign init", "campaign mark", "ensemble", "evaluate", "simulate"]
     assert all(r["exit"] == 0 and r["dims"] == [24, 24, 12] for r in results), results
